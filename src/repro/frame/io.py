@@ -53,8 +53,8 @@ import numpy as np
 from repro._util.errors import DataError
 from repro.frame.frame import Frame, concat
 
-__all__ = ["read_csv", "write_csv", "read_pipe", "write_pipe",
-           "read_npf", "write_npf", "sniff_npf", "read_table",
+__all__ = ["read_csv", "parse_csv_cells", "write_csv", "read_pipe",
+           "write_pipe", "read_npf", "write_npf", "sniff_npf", "read_table",
            "sniff_columns", "iter_npf", "iter_csv", "iter_table",
            "NpfAppender", "concat_npf"]
 
@@ -111,6 +111,14 @@ def read_csv(path: str | os.PathLike, infer: bool = True) -> Frame:
             raise DataError(f"empty CSV file: {path}") from None
         rows = list(reader)
     return _build_frame(header, rows, infer)
+
+
+def parse_csv_cells(header: Sequence[str], rows: list[list[str]]) -> Frame:
+    """The Frame :func:`read_csv` returns for a CSV holding exactly
+    these cells: the same blank-row rule, arity check and dtype
+    inference, without the text.  A writer that keeps the cells it
+    wrote builds the parse result of its file from them."""
+    return _build_frame(header, rows, infer=True)
 
 
 def write_csv(frame: Frame, path: str | os.PathLike) -> None:

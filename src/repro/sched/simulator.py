@@ -729,9 +729,15 @@ class _SimCore:
                             self.release_dependents(job, t)
                         dirty = True
                 elif kind == _CANCEL:
-                    if job.idx in self.pending_set:
+                    # each pending spell of a requeued job schedules its
+                    # own cancel; only the current spell's may fire
+                    if job.idx in self.pending_set and \
+                            t == job.eligible + job.req.pending_patience_s:
                         self.pending_set.discard(job.idx)
                         self.pending.remove(job)
+                        # cancelled while pending: an earlier run of a
+                        # requeued job is not this record's start
+                        job.start = UNKNOWN_TIME
                         self.terminal(job, t, "CANCELLED")
                         dirty = True
             if dirty:

@@ -17,11 +17,13 @@ of whole months:
    or as durable fabric jobs — the submission stream is regenerated
    from the seed, outcomes are finalized into accounting records with
    order-independent per-job RNG streams
-   (:func:`~repro.sched.shard.finalize_outcomes`), and the records run
-   through the real emit → parse → curate machinery
-   (:func:`~repro.pipeline.curate.curate_records`) into the same
-   ``data/<month>-jobs.csv`` / ``-steps.csv`` (+ ``.npf`` twin)
-   artifacts the classic workflow produces.
+   (:func:`~repro.sched.shard.finalize_outcomes`), and the records map
+   straight to curated rows (:func:`~repro.pipeline.curate.curate_records`,
+   no sacct text in between), which
+   :class:`~repro.pipeline.curate.CuratedCsvWriter` streams into the same
+   ``data/<month>-jobs.csv`` / ``-steps.csv`` artifacts the classic
+   workflow produces, each ``.npf`` twin built from the cells just
+   written.
 
 No stage ever materializes more than roughly one month plus the live
 boundary state: the simulate phase streams outcome rows out as they
@@ -31,8 +33,8 @@ bounded by the *busiest month*, not the year.
 
 from __future__ import annotations
 
-import csv
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -42,15 +44,17 @@ from repro._util.errors import ConfigError, DataError, WorkflowError
 from repro._util.timefmt import month_bounds
 from repro.cluster import get_system
 from repro.frame import Frame
-from repro.frame.io import NpfAppender, _cell, iter_npf, read_csv, write_npf
+from repro.frame.io import NpfAppender, iter_npf
+# read_csv, write_npf: looked up by name by perfbench/tracing.py
+from repro.frame.io import read_csv, write_npf
 from repro.pipeline.curate import (JOB_CSV_COLUMNS, STEP_CSV_COLUMNS,
-                                   curate_records)
+                                   CuratedCsvWriter, curate_records)
 from repro.sched.injections import ScenarioInjections
 from repro.sched.priority import PriorityModel
 from repro.sched.shard import (SPOOL_COLUMNS, ChainSimulator, ShardHandoff,
                                finalize_outcomes)
 from repro.sched.simulator import SimConfig
-from repro.store import Artifact, default_hash_cache
+from repro.store import Artifact
 from repro.workload.generate import WorkloadGenerator
 from repro.workload.profiles import workload_for
 from repro.workload.spec import profile_from_spec
@@ -276,48 +280,34 @@ def run_emit_month(payload: dict, obs=None) -> dict:
     outcomes.sort(key=lambda o: o["idx"])
 
     data_dir = payload["data_dir"]
-    os.makedirs(data_dir, exist_ok=True)
     jobs_art = Artifact.in_dir(data_dir, f"{month}-jobs", "csv",
                                schema=tuple(JOB_CSV_COLUMNS))
     steps_art = Artifact.in_dir(data_dir, f"{month}-steps", "csv",
                                 schema=tuple(STEP_CSV_COLUMNS))
-    jobs_csv, steps_csv = jobs_art.path, steps_art.path
-    twins = {jobs_csv: jobs_art.with_fmt("npf").path,
-             steps_csv: steps_art.with_fmt("npf").path}
     batch_rows = int(payload.get("batch_rows") or DEFAULT_BATCH_ROWS)
     n_jobs = n_steps = 0
-    with open(jobs_csv, "w", newline="", encoding="utf-8") as jf, \
-            open(steps_csv, "w", newline="", encoding="utf-8") as sf:
-        jw, sw = csv.writer(jf), csv.writer(sf)
-        jw.writerow(JOB_CSV_COLUMNS)
-        sw.writerow(STEP_CSV_COLUMNS)
+    with CuratedCsvWriter(jobs_art) as jobs_out, \
+            CuratedCsvWriter(steps_art) as steps_out:
         for lo in range(0, len(outcomes), batch_rows):
             records = finalize_outcomes(system, config, reqs, base,
                                         outcomes[lo:lo + batch_rows])
             job_rows, step_rows = curate_records(records)
-            for row in job_rows:
-                jw.writerow([_cell(row[c]) for c in JOB_CSV_COLUMNS])
-            for row in step_rows:
-                sw.writerow([_cell(row[c]) for c in STEP_CSV_COLUMNS])
+            jobs_out.write_rows(job_rows)
+            steps_out.write_rows(step_rows)
             n_jobs += len(job_rows)
             n_steps += len(step_rows)
-    for path, twin in twins.items():
-        # the classic curate stage's .npf twin, byte-for-byte: the
-        # parse result of the CSV, keyed to its content hash
-        write_npf(read_csv(path), twin,
-                  meta={"source": os.path.basename(path),
-                        "source_sha256":
-                            default_hash_cache().sha256(path),
-                        "infer": True})
-        if ctx is not None:
-            ctx.record_artifact(path, producer=f"shard-emit:{month}",
-                                inputs=(spool,))
-            ctx.record_artifact(twin, producer=f"shard-emit:{month}",
-                                inputs=(path,))
     if ctx is not None:
+        for out in (jobs_out, steps_out):
+            ctx.record_artifact(out.art.path,
+                                producer=f"shard-emit:{month}",
+                                inputs=(spool,))
+            ctx.record_artifact(out.twin.path,
+                                producer=f"shard-emit:{month}",
+                                inputs=(out.art.path,))
         ctx.write_manifest(payload["manifest_dir"])
-    return {"month": month, "jobs_csv": jobs_csv, "steps_csv": steps_csv,
-            "n_jobs": n_jobs, "n_steps": n_steps}
+    return {"month": month, "jobs_csv": jobs_art.path,
+            "steps_csv": steps_art.path, "n_jobs": n_jobs,
+            "n_steps": n_steps}
 
 
 # -- dispatch (inline / process pool / fabric) --------------------------------------
@@ -424,7 +414,10 @@ def run_sharded(system: str, months: list[str], out_dir: str, *,
     shard_dir = os.path.join(out_dir, "shards")
     spool_dir = os.path.join(shard_dir, "spool")
     data_dir = data_dir or os.path.join(out_dir, "data")
-    os.makedirs(spool_dir, exist_ok=True)
+    # spools are appendable: a previous build's would be extended with a
+    # second copy of every outcome, so phase 1 starts from an empty dir
+    shutil.rmtree(spool_dir, ignore_errors=True)
+    os.makedirs(spool_dir)
     dispatch = _Dispatcher(procs, fabric_db)
     report = ShardRunReport(months=months, shards=shards, procs=procs)
 

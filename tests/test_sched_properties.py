@@ -197,6 +197,25 @@ def test_injected_streams_still_terminate_legally(reqs, inj, seed):
     assert result.n_fault_victims >= 0
 
 
+def test_requeued_job_ignores_its_earlier_pending_cancel():
+    """Regression: each pending spell schedules its own cancel.  The job
+    starts at 100, a fault at 110 requeues it (eligible 110) while every
+    node is down, and the first spell's cancel at 160 must not fire; the
+    current spell's does at 170, and a pending cancel records no start."""
+    req = JobRequest(
+        user="u0", account="a0", partition="batch", qos="normal",
+        job_class="simulation", submit=100, nnodes=1,
+        ncpus=SYS.cpus_per_node, timelimit_s=60, true_runtime_s=36,
+        outcome="CANCELLED", cancel_while_pending=True,
+        pending_patience_s=60)
+    fault = NodeFault(t=110, nodes=16, duration_s=100, policy="requeue")
+    cfg = SimConfig(seed=0, scenario=ScenarioInjections(faults=(fault,)))
+    job = Simulator(SYS, cfg).run([req]).jobs[0]
+    assert (job.state, job.start, job.eligible, job.end) == \
+        ("CANCELLED", UNKNOWN_TIME, 110, 170)
+    check_job_invariants(job)
+
+
 @settings(max_examples=15, deadline=None)
 @given(streams())
 def test_energy_scales_with_node_seconds(reqs):

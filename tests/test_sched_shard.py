@@ -262,6 +262,21 @@ class TestShardedBuildGolden:
         assert "shard_emit" in BUILTIN_RUNNERS
 
 
+class TestRebuild:
+    def test_rebuild_into_same_out_dir_is_identical(self, tmp_path):
+        """Outcome spools are appendable, so a second build into the same
+        ``out_dir`` must start from empty ones; before it did, the
+        rebuild appended a second copy of every outcome and emit
+        failed."""
+        out = str(tmp_path / "w")
+        kwargs = {"shards": 2, "seed": 7, "rate_scale": 0.2,
+                  "config": CONFIG, "manifests": False}
+        run_sharded("testsys", MONTHS, out, **kwargs)
+        first = _digest_dir(os.path.join(out, "data"))
+        run_sharded("testsys", MONTHS, out, **kwargs)
+        assert _digest_dir(os.path.join(out, "data")) == first
+
+
 class TestEmitPhaseValidation:
     def _payload(self, tmp_path, n: int) -> dict:
         return {"system": "testsys", "month": "2024-01", "base": 0,
