@@ -15,6 +15,10 @@ the finalized :class:`JobRecord` streams are identical, and prints the
 speedup.  This file establishes the first entries of the BENCH
 trajectory for the scheduler core.
 
+The flat-list queue is the test oracle ``tests/sortedlist_oracle.py``;
+each leg swaps the container by patching
+``repro.sched.simulator.SortedKeyList``.
+
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_sched_hotpath.py          # full sweep
@@ -28,15 +32,22 @@ or under pytest (quick sweep only)::
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 import time
 from dataclasses import dataclass
 
-from repro._util.sortedlist import LegacySortedKeyList, SortedKeyList
+from repro._util.sortedlist import SortedKeyList
 from repro._util.tables import TextTable
 from repro.cluster import get_system
 from repro.sched import SimConfig, Simulator
 from repro.sched import simulator as simmod
 from repro.workload.jobs import JobRequest
+
+# the reference queue is a test oracle, importable from the repo root
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(
+    __file__)), os.pardir))
+from tests.sortedlist_oracle import LegacySortedKeyList  # noqa: E402
 
 FULL_DEPTHS = (1_000, 10_000, 50_000)
 QUICK_DEPTHS = (1_000, 5_000)
@@ -78,17 +89,17 @@ class Leg:
     records: list
 
 
-def run_leg(impl: str, factory, depth: int, seed: int = 3) -> Leg:
+def run_leg(impl: str, container, depth: int, seed: int = 3) -> Leg:
     reqs = churn_stream(depth)
-    old = simmod._PENDING_FACTORY
-    simmod._PENDING_FACTORY = factory
+    old = simmod.SortedKeyList
+    simmod.SortedKeyList = container
     try:
         t0 = time.perf_counter()
         res = Simulator(get_system("testsys"),
                         SimConfig(seed=seed)).run(reqs)
         wall = time.perf_counter() - t0
     finally:
-        simmod._PENDING_FACTORY = old
+        simmod.SortedKeyList = old
     return Leg(impl=impl, depth=depth, wall_s=wall,
                jobs_per_s=len(reqs) / wall,
                n_sched_passes=res.n_sched_passes, records=res.jobs)

@@ -1,4 +1,4 @@
-"""Indexed sorted containers for the scheduler hot path.
+"""An indexed sorted container for the scheduler hot path.
 
 :class:`SortedKeyList` is a two-level ("list of lists") sorted sequence
 in the style of the ``sortedcontainers`` package: items live in bounded
@@ -16,19 +16,17 @@ give a *total* order (the simulator's queue key ends in the unique
 jobid, so ties never occur there; equal keys are still handled — items
 with equal keys keep no particular relative order).
 
-:class:`LegacySortedKeyList` is the reference O(n) implementation (a
-flat list maintained with ``bisect.insort``) kept for golden-trace
-equivalence tests and benchmark baselines: both containers expose the
-same interface and must produce bit-identical iteration order for
-total-order keys.
+The reference O(n) flat-list container the tests and the hot-path
+benchmark hold this one to lives outside the package, in
+``tests/sortedlist_oracle.py``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterable, Iterator
 
-__all__ = ["SortedKeyList", "LegacySortedKeyList"]
+__all__ = ["SortedKeyList"]
 
 #: target sublist size; sublists split at 2*load and merge away at 0.
 #: 512 keeps the maxes index ~n/512 long while memmoves inside a
@@ -181,44 +179,3 @@ class SortedKeyList:
     def __repr__(self) -> str:   # pragma: no cover - debug aid
         return f"SortedKeyList({list(self)!r})"
 
-
-class LegacySortedKeyList:
-    """Reference implementation: flat list + ``insort`` (O(n) ops).
-
-    Interface-identical to :class:`SortedKeyList`; used as the
-    equivalence baseline in tests and as the "seed implementation"
-    leg of ``benchmarks/bench_sched_hotpath.py``.
-    """
-
-    __slots__ = ("_key", "_items")
-
-    def __init__(self, key: Callable[[Any], Any],
-                 iterable: Iterable[Any] = (), **_: Any) -> None:
-        self._key = key
-        self._items: list[Any] = []
-        for item in iterable:
-            self.add(item)
-
-    def add(self, item: Any) -> None:
-        insort(self._items, item, key=self._key)
-
-    def pop(self, index: int = 0) -> Any:
-        return self._items.pop(index)
-
-    def remove(self, item: Any) -> None:
-        self._items.remove(item)
-
-    def islice(self, start: int, stop: int) -> list[Any]:
-        return self._items[start:stop]
-
-    def __getitem__(self, index: int) -> Any:
-        return self._items[index]
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._items)
-
-    def __repr__(self) -> str:   # pragma: no cover - debug aid
-        return f"LegacySortedKeyList({self._items!r})"

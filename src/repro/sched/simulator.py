@@ -53,11 +53,6 @@ __all__ = ["Simulator", "SimConfig", "SimResult"]
 
 _SUBMIT, _END, _CANCEL, _TICK, _SCEN = 0, 1, 2, 3, 4
 
-#: pending-queue container — swappable so equivalence tests and the
-#: hot-path benchmark can run the same simulation on the legacy O(n)
-#: flat-list queue (``repro._util.sortedlist.LegacySortedKeyList``)
-_PENDING_FACTORY = SortedKeyList
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -245,7 +240,7 @@ class _SimCore:
         self.seq = 0
         self.jobs: dict[int, _SimJob] = {}
         self.next_idx = 0
-        self.pending = _PENDING_FACTORY(key=_SimJob.sort_key)
+        self.pending = SortedKeyList(key=_SimJob.sort_key)
         self.pending_set: set[int] = set()     # idx of queued jobs
         self.running: dict[int, _SimJob] = {}  # idx -> job
         #: per-pool sorted (walltime-based end estimate, idx, nnodes) of

@@ -6,11 +6,10 @@ ledger, and a run manifest.  This package turns one or more of those
 workdirs into a long-lived daemon: a stdlib-only HTTP service (no
 frameworks) with
 
-- a ``selectors``-based non-blocking event-loop transport (keep-alive,
-  pipelining, idle/header timeouts, chunked streaming, per-client rate
-  limiting) with ``--procs N`` ``SO_REUSEPORT`` process sharding — the
-  legacy thread-per-connection server remains as ``--transport
-  thread``,
+- one ``selectors``-based non-blocking event-loop transport
+  (keep-alive, pipelining, idle/header timeouts, chunked streaming,
+  per-client rate limiting) with ``--procs N`` ``SO_REUSEPORT``
+  process sharding,
 - a JSON API over runs, manifests, events, and provenance (including
   lineage traversal), with offset/limit cursor pagination,
 - artifact downloads with content negotiation and content-hash ETags
@@ -45,7 +44,6 @@ from repro.serve.runs import RunDir, RunRegistry
 from repro.serve.api import Request, Response, ServeApp, StreamBody
 from repro.serve.ingest import ingest_run
 from repro.serve.loop import EventLoopServer
-from repro.serve.server import ServeServer
 from repro.serve.shard import run_sharded, sharding_supported
 
 __all__ = [
@@ -70,7 +68,6 @@ __all__ = [
     "ServeApp",
     "ingest_run",
     "EventLoopServer",
-    "ServeServer",
     "run_sharded",
     "sharding_supported",
 ]

@@ -75,7 +75,7 @@ class StreamBody:
     event-loop transport sends each chunk with ``Transfer-Encoding:
     chunked`` as it arrives, so a year-scale ``events.jsonl`` or a
     large artifact never materializes server-side.  Dispatch-level
-    callers (the endpoint test matrix, the threaded adapter) keep the
+    callers (the endpoint test matrix, the benchmarks) keep the
     ``bytes`` surface they already use — ``decode()``, ``bytes()``,
     ``len()``, ``startswith()`` — by materializing on first touch, so
     switching a handler to streaming is invisible below the transport.

@@ -12,13 +12,13 @@ then::
     curl localhost:8080/api/charts/volume.svg
     curl localhost:8080/metrics
 
-The default transport is the ``selectors`` event loop (``--transport
-loop``); ``--transport thread`` keeps the legacy thread-per-connection
-server.  ``--procs N`` forks N event-loop shards sharing the port via
-``SO_REUSEPORT`` — each shard is a full process with its own
-``/metrics`` (labelled ``shard="i"``).  ``--ingest-dir`` opens the
-write path (``POST /api/runs``); ``--rate-limit R`` answers 429 once a
-client exceeds R requests/second.
+Requests are served by one ``selectors`` event loop
+(:class:`~repro.serve.loop.EventLoopServer`).  ``--procs N`` forks N
+event-loop shards sharing the port via ``SO_REUSEPORT`` — each shard
+is a full process with its own ``/metrics`` (labelled ``shard="i"``).
+``--ingest-dir`` opens the write path (``POST /api/runs``);
+``--rate-limit R`` answers 429 once a client exceeds R
+requests/second.
 
 ``SIGTERM``/``SIGINT`` trigger a graceful drain: stop accepting,
 in-flight requests finish, queued background jobs complete, then the
@@ -36,7 +36,6 @@ from repro._util.errors import ReproError
 from repro.serve.api import ServeApp
 from repro.serve.limit import RateLimiter
 from repro.serve.loop import EventLoopServer
-from repro.serve.server import ServeServer
 from repro.serve.shard import run_sharded
 
 __all__ = ["main", "build_parser"]
@@ -53,13 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080,
                    help="listen port (0 picks an ephemeral port)")
-    p.add_argument("--transport", choices=("loop", "thread"),
-                   default="loop",
-                   help="event-loop transport (default) or the legacy "
-                        "thread-per-connection server")
     p.add_argument("--procs", type=int, default=1,
-                   help="fork N SO_REUSEPORT shards of the event-loop "
-                        "transport (1 = in-process, no fork)")
+                   help="fork N SO_REUSEPORT event-loop shards "
+                        "(1 = in-process, no fork)")
     p.add_argument("--handler-threads", type=int, default=8,
                    help="event-loop dispatch worker pool size")
     p.add_argument("--rate-limit", type=float, default=None,
@@ -93,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default DB: <first workdir>/.store/"
                         "fabric.sqlite3; run repro-launcher to "
                         "execute them)")
-    p.add_argument("--verbose", action="store_true",
-                   help="log each request to stderr")
     return p
 
 
@@ -114,18 +107,19 @@ def _build_app(args, fabric) -> ServeApp:
 
 def _build_server(args, fabric, sock=None):
     app = _build_app(args, fabric)
-    if args.transport == "thread":
-        if sock is not None:
-            raise ReproError("--procs sharding needs the event-loop "
-                             "transport")
-        return app, ServeServer(app, host=args.host, port=args.port,
-                                verbose=args.verbose)
     limiter = None if args.rate_limit is None \
         else RateLimiter(args.rate_limit)
     return app, EventLoopServer(
         app, host=args.host, port=args.port, sock=sock,
-        handler_threads=args.handler_threads,
-        rate_limit=limiter, verbose=args.verbose)
+        handler_threads=args.handler_threads, rate_limit=limiter)
+
+
+def _announce(line: str) -> None:
+    """One stdout line in one flushed write: clients parse the banner,
+    and ``print`` writes text and newline apart, so the banners of
+    shards sharing stdout could interleave into one line."""
+    sys.stdout.write(line + "\n")
+    sys.stdout.flush()
 
 
 def _serve_until_signal(app, server, banner: str) -> int:
@@ -136,7 +130,7 @@ def _serve_until_signal(app, server, banner: str) -> int:
 
     signal.signal(signal.SIGTERM, request_shutdown)
     signal.signal(signal.SIGINT, request_shutdown)
-    print(banner)
+    _announce(banner)
     server.start()
     try:
         while not stop.wait(timeout=0.2):   # pragma: no cover - signal loop
@@ -169,16 +163,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.procs > 1:
-        if args.transport != "loop":
-            print("error: --procs sharding needs --transport loop",
-                  file=sys.stderr)
-            return 2
         try:
             return run_sharded(
                 args.procs, args.host, args.port,
                 lambda shard, sock: _shard_main(args, fabric, shard,
                                                 sock),
-                on_ready=lambda host, port, pids: print(
+                on_ready=lambda host, port, pids: _announce(
                     f"repro-serve: {args.procs} shards on "
                     f"http://{host}:{port} (pids {pids})"))
         except ReproError as exc:
@@ -196,8 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         f"jobs: {args.job_workers} workers, queue {args.job_capacity}"
     return _serve_until_signal(
         app, server,
-        f"repro-serve: {runs} on http://{host}:{port} "
-        f"({args.transport} transport; {mode})")
+        f"repro-serve: {runs} on http://{host}:{port} ({mode})")
 
 
 if __name__ == "__main__":   # pragma: no cover

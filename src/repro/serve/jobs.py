@@ -7,8 +7,10 @@ invite timeouts.  Instead ``POST`` endpoints enqueue a job and return
 queue is *bounded* and rejection is explicit: a full queue raises
 :class:`QueueFull`, which the HTTP layer maps to ``429`` with a
 ``Retry-After`` header — backpressure the client can see, instead of an
-unbounded in-memory backlog.  Job-count metrics land on the run context
-as ``serve.jobs.*`` counters and gauges.
+unbounded in-memory backlog.  Finished jobs stay pollable until
+:data:`MAX_FINISHED_JOBS` newer ones have finished, so a long-lived
+server's job history is bounded too.  Job-count metrics land on the run
+context as ``serve.jobs.*`` counters and gauges.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import queue
 import threading
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro._util.clock import wall_now
@@ -27,6 +30,10 @@ __all__ = ["Job", "JobQueue", "QueueFull", "QueueDraining"]
 
 #: terminal and non-terminal job states
 JOB_STATES = ("pending", "running", "done", "failed")
+
+#: finished (done or failed) jobs kept for polling; past this many the
+#: earliest finished is forgotten (pending and running jobs never are)
+MAX_FINISHED_JOBS = 256
 
 
 class QueueFull(ReproError):
@@ -76,7 +83,8 @@ class JobQueue:
         self.capacity = capacity
         self.obs = obs
         self._queue: queue.Queue = queue.Queue(maxsize=capacity)
-        self._jobs: dict[str, Job] = {}
+        self._jobs: dict[str, Job] = {}     # submission order
+        self._finished: deque[str] = deque()  # ids, earliest finish first
         self._lock = threading.Lock()
         self._seq = 0
         self._accepting = True
@@ -143,8 +151,16 @@ class JobQueue:
             return self._jobs.get(job_id)
 
     def list_jobs(self) -> list[Job]:
+        """Every job still held, in submission order."""
         with self._lock:
-            return sorted(self._jobs.values(), key=lambda j: j.id)
+            return list(self._jobs.values())
+
+    def _retire(self, job: Job) -> None:
+        """Record ``job`` as finished and forget the earliest finished
+        jobs past :data:`MAX_FINISHED_JOBS` (caller holds the lock)."""
+        self._finished.append(job.id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            del self._jobs[self._finished.popleft()]
 
     # -- worker loop ---------------------------------------------------------------
 
@@ -168,6 +184,7 @@ class JobQueue:
                     job.error = "".join(traceback.format_exception_only(
                         type(exc), exc)).strip()
                     job.finished_s = wall_now()
+                    self._retire(job)
                 self._count("serve.jobs.failed")
                 if not isinstance(exc, Exception):
                     # KeyboardInterrupt/SystemExit must still stop the
@@ -179,6 +196,7 @@ class JobQueue:
                     job.status = "done"
                     job.result = result
                     job.finished_s = wall_now()
+                    self._retire(job)
                 self._count("serve.jobs.completed")
             finally:
                 with self._idle:
@@ -237,6 +255,7 @@ class JobQueue:
                 job.status = "failed"
                 job.error = "cancelled at shutdown"
                 job.finished_s = wall_now()
+                self._retire(job)
                 self._outstanding -= 1
                 self._idle.notify_all()
             self._queue.task_done()

@@ -1,8 +1,8 @@
 """The event-loop HTTP transport: one thread of readiness, no blocking.
 
-``ThreadingHTTPServer`` spends one OS thread per connection, which caps
-a box at a few hundred concurrent keep-alive clients.  This transport
-replaces it with a single ``selectors``-based loop that owns every
+A thread-per-connection server spends one OS thread per connection,
+which caps a box at a few hundred concurrent keep-alive clients.  This
+transport instead runs a single ``selectors``-based loop that owns every
 socket: non-blocking accept, incremental request parsing
 (:mod:`repro.serve.proto`), deadline enforcement (a slowloris client
 trickling header bytes is cut at the header timeout, an idle keep-alive
@@ -95,12 +95,9 @@ class _Connection:
 
 
 class EventLoopServer:
-    """Socket lifecycle around one :class:`ServeApp`, event-loop style.
-
-    Drop-in surface parity with the threaded ``ServeServer``:
-    ``address``/``url``, ``start()``, ``serve_forever()``,
-    ``close(graceful=, timeout=)``.
-    """
+    """Socket lifecycle around one :class:`ServeApp`: ``address``/
+    ``url``, ``start()``, ``serve_forever()``,
+    ``close(graceful=, timeout=)``."""
 
     def __init__(self, app, host: str = "127.0.0.1", port: int = 0, *,
                  sock: socket.socket | None = None,
@@ -108,13 +105,11 @@ class EventLoopServer:
                  idle_timeout_s: float = 60.0,
                  header_timeout_s: float = 10.0,
                  rate_limit: RateLimiter | None = None,
-                 backlog: int = 1024,
-                 verbose: bool = False) -> None:
+                 backlog: int = 1024) -> None:
         self.app = app
         self.idle_timeout_s = idle_timeout_s
         self.header_timeout_s = header_timeout_s
         self.rate_limit = rate_limit
-        self.verbose = verbose
         if sock is None:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

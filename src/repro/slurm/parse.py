@@ -9,7 +9,7 @@ extracted data" from Section 2.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from repro._util.errors import DataError
 from repro._util.sizefmt import parse_count_k, parse_mem
@@ -89,21 +89,4 @@ def record_from_row(names: Sequence[str], cells: Sequence[str]) -> dict[str, Any
     out: dict[str, Any] = {}
     for name, cell in zip(names, cells):
         out[name] = parse_sacct_value(name, cell)
-    return out
-
-
-def curate_row(row: Mapping[str, Any]) -> dict[str, Any]:
-    """Apply Table-1 style normalizations to an already-typed row.
-
-    Converts raw seconds to minutes for the readability-oriented derived
-    columns the paper mentions, and derives ``Backfill`` from ``Flags``
-    when the explicit column is absent.
-    """
-    out = dict(row)
-    if "Elapsed" in out:
-        out["ElapsedMin"] = round(out["Elapsed"] / 60.0, 2)
-    if "Timelimit" in out:
-        out["TimelimitMin"] = round(out["Timelimit"] / 60.0, 2)
-    if "Backfill" not in out and "Flags" in out:
-        out["Backfill"] = int("SchedBackfill" in str(out["Flags"]))
     return out

@@ -5,20 +5,23 @@ The tentpole rework swapped the simulator's flat sorted-list pending
 queue for :class:`repro._util.sortedlist.SortedKeyList`.  The contract
 is that only complexity changed: for a fixed seed, the finalized
 :class:`JobRecord` stream (every field) and the scheduler counters must
-be identical under either container.  ``_PENDING_FACTORY`` is the test
-seam that swaps the implementation.
+be identical under either container.  Each run patches
+``repro.sched.simulator.SortedKeyList`` to pick the container; the
+flat-list reference lives in ``tests/sortedlist_oracle.py``.
 """
 
 import random
 
 import pytest
 
-from repro._util.sortedlist import LegacySortedKeyList, SortedKeyList
+from repro._util.rng import RngStreams
+from repro._util.sortedlist import SortedKeyList
 from repro.cluster import get_system
 from repro.sched import SimConfig, Simulator
 from repro.sched import simulator as simmod
 from repro.sched.priority import PriorityModel
 from repro.workload.jobs import JobRequest
+from tests.sortedlist_oracle import LegacySortedKeyList
 
 SYS = get_system("testsys")  # 16 nodes
 
@@ -58,13 +61,10 @@ def random_stream(seed, n=120):
     return reqs
 
 
-def run_with(factory, reqs, cfg):
-    old = simmod._PENDING_FACTORY
-    simmod._PENDING_FACTORY = factory
-    try:
+def run_with(monkeypatch, container, reqs, cfg):
+    with monkeypatch.context() as patch:
+        patch.setattr(simmod, "SortedKeyList", container)
         return Simulator(SYS, cfg).run([r for r in reqs])
-    finally:
-        simmod._PENDING_FACTORY = old
 
 
 CONFIGS = {
@@ -82,11 +82,12 @@ CONFIGS = {
 
 @pytest.mark.parametrize("cfg_name", sorted(CONFIGS))
 @pytest.mark.parametrize("seed", [0, 7])
-def test_identical_job_records(cfg_name, seed):
+def test_identical_job_records(cfg_name, seed, monkeypatch):
     cfg = SimConfig(seed=seed, **CONFIGS[cfg_name])
     reqs = random_stream(seed * 31 + 5)
-    res_new = run_with(SortedKeyList, random_stream(seed * 31 + 5), cfg)
-    res_leg = run_with(LegacySortedKeyList, reqs, cfg)
+    res_new = run_with(monkeypatch, SortedKeyList,
+                       random_stream(seed * 31 + 5), cfg)
+    res_leg = run_with(monkeypatch, LegacySortedKeyList, reqs, cfg)
     assert res_new.jobs == res_leg.jobs
     assert res_new.n_backfilled == res_leg.n_backfilled
     assert res_new.n_sched_passes == res_leg.n_sched_passes
@@ -95,7 +96,8 @@ def test_identical_job_records(cfg_name, seed):
 
 
 def test_default_factory_is_indexed():
-    assert simmod._PENDING_FACTORY is SortedKeyList
+    core = simmod._SimCore(SYS, SimConfig(), RngStreams(0).get("exec"))
+    assert isinstance(core.pending, SortedKeyList)
 
 
 def test_maintenance_blocks_matches_bruteforce():

@@ -2,7 +2,8 @@
 
 Most endpoint coverage goes through :meth:`ServeApp.dispatch` directly
 (transport-free, no ports); one integration test binds a real
-ephemeral-port server and exercises every endpoint over sockets.
+ephemeral-port event-loop server and exercises every endpoint over
+sockets.
 """
 
 import json
@@ -15,6 +16,7 @@ import pytest
 
 from repro._util.errors import ConfigError, DataError
 from repro.serve import (
+    EventLoopServer,
     Job,
     JobQueue,
     LRUCache,
@@ -27,8 +29,8 @@ from repro.serve import (
     RunDir,
     RunRegistry,
     ServeApp,
-    ServeServer,
 )
+from repro.serve.jobs import MAX_FINISHED_JOBS
 from repro.workflows import SchedulingAnalysisWorkflow, WorkflowConfig
 
 
@@ -203,6 +205,41 @@ class TestJobQueue:
         q = JobQueue(workers=1, capacity=1)
         assert q.get("job-999") is None
         q.close()
+
+    def test_list_jobs_in_submission_order(self):
+        # ids compared as strings would list job-10 before job-2
+        q = JobQueue(workers=1, capacity=12)
+        jobs = [q.submit("quick", lambda: None) for _ in range(12)]
+        assert q.drain(timeout=5)
+        assert [j.id for j in q.list_jobs()] == [j.id for j in jobs]
+        assert [j.id for j in jobs][8:10] == ["job-9", "job-10"]
+        q.close()
+
+    def test_finished_history_bounded(self, served_workdir):
+        cap, k = MAX_FINISHED_JOBS, 3
+        app = ServeApp([served_workdir], job_workers=2,
+                       job_capacity=cap + k + 1)
+        gate = threading.Event()
+        held = app.jobs.submit("hold", gate.wait)
+        quick = [app.jobs.submit("quick", lambda: None)
+                 for _ in range(cap + k)]
+        deadline = time.time() + 30
+        while app.jobs.get(quick[-1].id).status != "done" \
+                and time.time() < deadline:
+            time.sleep(0.005)
+        # the oldest job is still running: never evicted
+        listed = [j.id for j in app.jobs.list_jobs()]
+        assert listed[0] == held.id
+        assert held.status in ("pending", "running")
+        assert listed[1:] == [j.id for j in quick[k:]]
+        gate.set()
+        assert app.jobs.drain(timeout=5)
+        listed = [j["id"] for j in body_json(get(app, "/api/jobs"))["jobs"]]
+        assert len(listed) == cap
+        assert listed == [held.id] + [j.id for j in quick[k + 1:]]
+        assert get(app, f"/api/jobs/{quick[0].id}").status == 404
+        assert get(app, f"/api/jobs/{quick[-1].id}").status == 200
+        app.close()
 
     def test_outstanding_never_negative_under_stress(self):
         # regression: _outstanding used to be incremented after the job
@@ -623,7 +660,7 @@ class TestGracefulDrain:
 
     def test_server_close_drains(self, served_workdir):
         app = ServeApp([served_workdir], job_workers=1, job_capacity=4)
-        server = ServeServer(app, port=0).start()
+        server = EventLoopServer(app, port=0).start()
         marker = []
         app.jobs.submit("slow", lambda: (time.sleep(0.1),
                                          marker.append("done")))
@@ -638,7 +675,7 @@ class TestSocketIntegration:
     def server(self, served_workdir):
         app = ServeApp([served_workdir], job_workers=1, job_capacity=8,
                        request_timeout_s=60.0)
-        server = ServeServer(app, port=0).start()
+        server = EventLoopServer(app, port=0).start()
         yield server
         server.close(graceful=True)
 

@@ -1,0 +1,116 @@
+"""Tests for the ``repro-serve`` command line.
+
+The server runs as ``python -m repro.serve`` in a subprocess, the way
+operators and ``perfbench/run.py`` start it: the first stdout line is
+the startup banner, whose ``http://host:port`` token is how a client
+finds an ephemeral port, and SIGTERM drains it to a clean exit.
+"""
+
+import contextlib
+import os
+import signal
+import subprocess
+import sys
+from http.client import HTTPConnection
+
+import pytest
+
+from repro.serve import sharding_supported
+from repro.serve.cli import main
+from tests.test_serve_loop import make_workdir
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                   "src")
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("cli-runs") / "cli-run")
+    return make_workdir(root, "cli-run")
+
+
+@contextlib.contextmanager
+def serving(workdir, stderr_path, *extra):
+    """``python -m repro.serve`` on an ephemeral port, stopped on exit."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=SRC)
+    with open(stderr_path, "w", encoding="utf-8") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--workdir", workdir,
+             "--port", "0", *extra],
+            stdout=subprocess.PIPE, stderr=err, env=env, text=True)
+    try:
+        yield proc
+    finally:
+        if proc.poll() is None:
+            # SIGTERM first: the parent forwards it to its shards, and
+            # a SIGKILLed parent would leave them running
+            proc.terminate()
+            try:
+                proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=10)
+        proc.stdout.close()
+
+
+def address(banner):
+    """``(host, port)`` parsed from a banner line as perfbench does."""
+    host, port = banner.split("http://", 1)[1].split()[0].split(":")
+    return host, int(port)
+
+
+def healthz(host, port):
+    conn = HTTPConnection(host, port, timeout=10)
+    try:
+        conn.request("GET", "/healthz")
+        resp = conn.getresponse()
+        resp.read()
+        return resp.status
+    finally:
+        conn.close()
+
+
+def test_banner_healthz_and_clean_sigterm(workdir, tmp_path):
+    stderr_path = tmp_path / "serve.stderr"
+    with serving(workdir, stderr_path) as proc:
+        banner = proc.stdout.readline()
+        assert "cli-run on http://" in banner
+        assert healthz(*address(banner)) == 200
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+    assert "clean shutdown" in stderr_path.read_text(encoding="utf-8")
+
+
+@pytest.mark.skipif(not sharding_supported(),
+                    reason="needs SO_REUSEPORT + fork")
+def test_sharded_banner_and_clean_sigterm(workdir, tmp_path):
+    stderr_path = tmp_path / "serve.stderr"
+    with serving(workdir, stderr_path, "--procs", "2",
+                 "--job-workers", "1") as proc:
+        # the parent's banner and one per shard, each a whole line
+        # (the shards share the parent's stdout)
+        lines = [proc.stdout.readline() for _ in range(3)]
+        assert sorted(line.split(" on http://")[0] for line in lines) == [
+            "repro-serve: 2 shards", "repro-serve: shard 0",
+            "repro-serve: shard 1"]
+        assert all(line.count("http://") == 1 for line in lines)
+        banner = next(line for line in lines if " shards on " in line)
+        assert healthz(*address(banner)) == 200
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+    err = stderr_path.read_text(encoding="utf-8")
+    assert err.count("clean shutdown") == 2
+
+
+def test_procs_below_one_exits_2(workdir, capsys):
+    assert main(["--workdir", workdir, "--procs", "0"]) == 2
+    assert "--procs must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--transport", "thread"],
+                                  ["--verbose"]])
+def test_removed_options_rejected(workdir, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--workdir", workdir, *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -31,7 +31,6 @@ from repro.serve import (
     Request,
     RequestParser,
     ServeApp,
-    ServeServer,
     StreamBody,
     ingest_run,
     sharding_supported,
@@ -594,28 +593,6 @@ class TestGracefulShutdown:
         with pytest.raises(OSError):
             socket.create_connection(srv.address, timeout=1)
         conn.close()
-
-
-# ---------------------------------------------------------------------------
-# threaded transport: chunked bodies now refused loudly (regression)
-# ---------------------------------------------------------------------------
-
-class TestThreadedTransportChunked:
-    def test_chunked_body_411_not_silently_empty(self, workdir):
-        app = ServeApp([workdir], job_workers=1)
-        srv = ServeServer(app, port=0).start()
-        try:
-            sock = socket.create_connection(srv.address, timeout=10)
-            sock.sendall(b"POST /api/runs HTTP/1.1\r\nHost: x\r\n"
-                         b"Transfer-Encoding: chunked\r\n\r\n"
-                         b"4\r\njunk\r\n0\r\n\r\n")
-            fh = sock.makefile("rb")
-            status, _, body = read_raw_response(fh)
-            assert status == 411
-            assert b"event-loop transport" in body
-            sock.close()
-        finally:
-            srv.close(graceful=False)
 
 
 # ---------------------------------------------------------------------------

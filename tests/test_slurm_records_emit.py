@@ -7,7 +7,6 @@ from repro._util.errors import ConfigError, DataError
 from repro._util.timefmt import UNKNOWN_TIME
 from repro.slurm.emit import SacctEmitter
 from repro.slurm.parse import (
-    curate_row,
     is_step_jobid,
     parse_sacct_value,
     record_from_row,
@@ -202,10 +201,3 @@ class TestParse:
         assert is_step_jobid("1001.0")
         assert is_step_jobid("1001.batch")
         assert not is_step_jobid("1001")
-
-    def test_curate_row_derives(self):
-        out = curate_row({"Elapsed": 3600, "Timelimit": 7200,
-                          "Flags": "SchedBackfill,ArrayJob"})
-        assert out["ElapsedMin"] == 60.0
-        assert out["TimelimitMin"] == 120.0
-        assert out["Backfill"] == 1

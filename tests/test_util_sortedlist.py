@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro._util.sortedlist import LegacySortedKeyList, SortedKeyList
+from repro._util.sortedlist import SortedKeyList
+from tests.sortedlist_oracle import LegacySortedKeyList
 
 
 def make(load=4):
