@@ -6,6 +6,14 @@ energy) and realizes the planned srun steps into
 :class:`~repro.slurm.records.StepRecord` rows.  Draws come from a
 dedicated RNG stream so scheduling decisions and usage noise are
 independent.
+
+Exact-stream draws.  Scalar draws skip numpy's ``Generator.choice`` and
+``Generator.uniform``, whose argument handling costs more than the
+draw, but consume the stream exactly as those calls do:
+``options[rng.integers(0, n)]`` for ``choice(options)`` and
+``lo + (hi - lo) * rng.random()`` for ``uniform(lo, hi)``.
+``tests/test_draws_exact.py`` holds every record, and the stream left
+behind, to numpy's own calls (``tests/draw_oracle.py``).
 """
 
 from __future__ import annotations
@@ -37,6 +45,9 @@ _EXIT_FOR_STATE = {
     "NODE_FAIL": (1, 0),
 }
 
+#: exit codes of a FAILED job, one drawn uniformly (1 twice as likely)
+_FAIL_CODES = (1, 1, 2, 127, 134, 139)
+
 
 def finalize_job(req: JobRequest, jobid: int, system: SystemProfile,
                  rng: np.random.Generator, *,
@@ -54,26 +65,26 @@ def finalize_job(req: JobRequest, jobid: int, system: SystemProfile,
     elapsed = 0 if start == UNKNOWN_TIME else max(0, end - start)
     exit_code, exit_signal = _EXIT_FOR_STATE[state]
     if state == "FAILED":
-        exit_code = int(rng.choice([1, 1, 2, 127, 134, 139]))
+        exit_code = _FAIL_CODES[rng.integers(0, 6)]
 
     ran = start != UNKNOWN_TIME and elapsed > 0
     if ran:
-        cpu_eff = float(rng.uniform(0.25, 0.95))
+        cpu_eff = 0.25 + (0.95 - 0.25) * rng.random()
         total_cpu = int(elapsed * req.ncpus * cpu_eff)
-        user_frac = float(rng.uniform(0.85, 0.98))
+        user_frac = 0.85 + (0.98 - 0.85) * rng.random()
         ntasks = max(1, len(req.steps))
         ave_cpu = total_cpu // max(1, ntasks * req.nnodes)
-        mem_frac = float(rng.uniform(0.25, 1.0))
+        mem_frac = 0.25 + (1.0 - 0.25) * rng.random()
         if state == "OUT_OF_MEMORY":
-            mem_frac = float(rng.uniform(0.98, 1.0))
+            mem_frac = 0.98 + (1.0 - 0.98) * rng.random()
         max_rss = int(req.req_mem_kib * mem_frac)
-        ave_rss = int(max_rss * rng.uniform(0.4, 0.9))
-        vmsize = int(max_rss * rng.uniform(1.1, 1.6))
+        ave_rss = int(max_rss * (0.4 + (0.9 - 0.4) * rng.random()))
+        vmsize = int(max_rss * (1.1 + (1.6 - 1.1) * rng.random()))
         # disk I/O scales with node-hours, lognormal noise
         node_h = req.nnodes * elapsed / 3600.0
         read_b = int(2e8 * node_h * rng.lognormal(0.0, 1.0))
         write_b = int(1e8 * node_h * rng.lognormal(0.0, 1.2))
-        util = float(rng.uniform(0.55, 1.0))
+        util = 0.55 + (1.0 - 0.55) * rng.random()
         energy = int(req.nnodes * system.node_power_w * elapsed * util)
     else:
         total_cpu = ave_cpu = max_rss = ave_rss = vmsize = 0
@@ -136,18 +147,20 @@ def _realize_steps(req: JobRequest, job: JobRecord,
     if not req.steps or job.elapsed <= 0:
         return []
     fracs = np.array([s.frac_time for s in req.steps], dtype=float)
-    total = fracs.sum()
+    total = fracs.sum()     # numpy's pairwise sum, not Python's sum()
     if total <= 0:
         fracs = np.full(len(req.steps), 1.0 / len(req.steps))
     else:
         fracs = fracs / total
     # steps run sequentially with a small launch overhead between them
-    bounds = np.concatenate([[0.0], np.cumsum(fracs)])
+    bounds = [0.0, *np.cumsum(fracs).tolist()]
+    fracs = fracs.tolist()
+    elapsed = job.elapsed
     out: list[StepRecord] = []
     final_state = _STEP_STATE_FOR_JOB[job.state]
     for i, plan in enumerate(req.steps):
-        s0 = job.start + int(bounds[i] * job.elapsed)
-        s1 = job.start + int(bounds[i + 1] * job.elapsed)
+        s0 = job.start + int(bounds[i] * elapsed)
+        s1 = job.start + int(bounds[i + 1] * elapsed)
         if s1 <= s0:
             s1 = s0 + 1
         s1 = min(s1, job.end) if job.end != UNKNOWN_TIME else s1
@@ -170,11 +183,12 @@ def _realize_steps(req: JobRequest, job: JobRecord,
             ntasks=ntasks,
             nnodes=nnodes,
             layout="Block" if plan.ntasks_per_node == 1 else "Cyclic",
-            ave_cpu_s=int(el * rng.uniform(0.3, 0.95)),
-            max_rss_kib=int(job.max_rss_kib * rng.uniform(0.3, 1.0)),
-            ave_disk_read_b=int(job.ave_disk_read_b * float(fracs[i])),
-            ave_disk_write_b=int(job.ave_disk_write_b * float(fracs[i])),
-            max_disk_read_b=int(job.max_disk_read_b * float(fracs[i])),
-            max_disk_write_b=int(job.max_disk_write_b * float(fracs[i])),
+            ave_cpu_s=int(el * (0.3 + (0.95 - 0.3) * rng.random())),
+            max_rss_kib=int(job.max_rss_kib *
+                            (0.3 + (1.0 - 0.3) * rng.random())),
+            ave_disk_read_b=int(job.ave_disk_read_b * fracs[i]),
+            ave_disk_write_b=int(job.ave_disk_write_b * fracs[i]),
+            max_disk_read_b=int(job.max_disk_read_b * fracs[i]),
+            max_disk_write_b=int(job.max_disk_write_b * fracs[i]),
         ))
     return out

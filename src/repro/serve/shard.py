@@ -23,6 +23,11 @@ finish in-flight responses, drain jobs), and the parent ``SIGKILL``\\ s
 any shard still alive past the grace deadline (measured on
 ``time.monotonic()``).  An unexpected child death tears the whole
 fleet down rather than serving with silently reduced capacity.
+
+The parent's own death, by any signal including ``SIGKILL``, reaches
+the shards through a lifeline pipe: the parent holds its only write
+end, so when the parent is gone each shard's read end sees EOF, and
+the shard starts the same graceful drain ``SIGTERM`` starts.
 """
 
 from __future__ import annotations
@@ -73,6 +78,21 @@ def _reap(children: dict[int, int | None]) -> None:
                              else status)
 
 
+def _watch_lifeline(read_fd: int) -> None:
+    """In a shard: drain as on ``SIGTERM`` once the parent is gone.
+
+    The parent never writes to the lifeline, so ``os.read`` returns only
+    at EOF, when the last write end (the parent's) has closed.
+    """
+    def watch() -> None:
+        try:
+            os.read(read_fd, 1)
+        finally:
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    threading.Thread(target=watch, name="lifeline", daemon=True).start()
+
+
 def run_sharded(procs: int, host: str, port: int, child_main, *,
                 shutdown_grace_s: float = 20.0,
                 on_ready=None) -> int:
@@ -98,12 +118,16 @@ def run_sharded(procs: int, host: str, port: int, child_main, *,
 
     children: dict[int, int | None] = {}   # pid -> exit status
     ready_fds: list[int] = []
+    # the parent keeps the only write end open for its whole life
+    life_read, life_write = os.pipe()
     for shard in range(procs):
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:                        # pragma: no cover - child
             status = 1
             try:
+                os.close(life_write)
+                _watch_lifeline(life_read)
                 os.close(read_fd)
                 resolver.close()
                 for fd in ready_fds:
@@ -117,6 +141,7 @@ def run_sharded(procs: int, host: str, port: int, child_main, *,
         os.close(write_fd)
         children[pid] = None
         ready_fds.append(read_fd)
+    os.close(life_read)
 
     stop = threading.Event()
 
@@ -174,6 +199,7 @@ def run_sharded(procs: int, host: str, port: int, child_main, *,
             break
         if pid in children:
             children[pid] = status
+    os.close(life_write)
     worst = 0
     for status in children.values():
         code = status or 0

@@ -5,6 +5,23 @@
 randomness flows through named :class:`~repro._util.rng.RngStreams`
 substreams, so regenerating any window is reproducible and independent
 of other windows.
+
+Exact-stream draws.  Scalar draws skip numpy's ``Generator.choice`` and
+``Generator.uniform``, whose argument handling costs more than the draw
+itself, but consume the bit generator exactly as those calls do, so
+every request is the one numpy's calls would give:
+
+- ``choice(options)`` becomes ``options[rng.integers(0, n)]``, the one
+  ``integers`` call numpy makes;
+- ``uniform(lo, hi)`` becomes ``lo + (hi - lo) * rng.random()``, the
+  ``low + (high - low) * next_double`` numpy computes;
+- ``choice(n, p=w)`` becomes a search of ``rng.random()`` in the cdf
+  numpy would build from ``w``, built once per mtask affinity instead
+  of once per job (:meth:`WorkloadGenerator._pick_class`).
+
+``tests/test_draws_exact.py`` holds these to numpy's own calls, kept in
+``tests/draw_oracle.py``: equal requests and an equal
+``bit_generator.state``.
 """
 
 from __future__ import annotations
@@ -27,6 +44,8 @@ __all__ = ["WorkloadGenerator"]
 _P_OOM_GIVEN_FAIL = 0.12
 _P_NODE_FAIL = 0.0015          # per job, hardware loss
 _P_CANCEL_PENDING = 0.45       # cancels that happen while still queued
+#: srun ``--ntasks-per-node`` choices, one drawn uniformly per step
+_NTPN = (1, 2, 4, 8)
 
 
 class WorkloadGenerator:
@@ -54,6 +73,9 @@ class WorkloadGenerator:
             weekend_factor=profile.weekend_factor,
             burst_rate_per_week=profile.burst_rate_per_week,
         )
+        self._class_names = profile.class_names()
+        #: class cdf by user mtask affinity, built on first use
+        self._class_cdfs: dict[float, np.ndarray] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -104,15 +126,26 @@ class WorkloadGenerator:
     # -- internals ------------------------------------------------------------
 
     def _pick_class(self, rng: np.random.Generator, user: User) -> str:
-        names = self.profile.class_names()
+        cdf = self._class_cdfs.get(user.mtask_affinity)
+        if cdf is None:
+            cdf = self._class_cdfs[user.mtask_affinity] = \
+                self._class_cdf(user.mtask_affinity)
+        # what Generator.choice(n, p=weights) does with the same cdf
+        return self._class_names[cdf.searchsorted(rng.random(),
+                                                  side="right")]
+
+    def _class_cdf(self, mtask_affinity: float) -> np.ndarray:
+        """The cdf ``Generator.choice(n, p=weights)`` builds for a user."""
+        names = self._class_names
         weights = np.array(self.profile.class_weights())
         if "mtask" in names:
             # users with high mtask affinity submit more many-task jobs
             i = names.index("mtask")
-            weights = weights.copy()
-            weights[i] *= (0.5 + 2.0 * user.mtask_affinity)
+            weights[i] *= (0.5 + 2.0 * mtask_affinity)
             weights /= weights.sum()
-        return names[int(rng.choice(len(names), p=weights))]
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        return cdf
 
     def _draw_job(self, rng: np.random.Generator, user: User, cls_name: str,
                   params: ClassParams, submit: int) -> JobRequest:
@@ -122,8 +155,9 @@ class WorkloadGenerator:
 
         # node count: log-uniform over the class range
         lo, hi = params.node_lo, min(params.node_hi, part.max_nodes)
-        nnodes = int(round(math.exp(rng.uniform(math.log(lo),
-                                                math.log(hi + 0.999)))))
+        log_lo, log_hi = math.log(lo), math.log(hi + 0.999)
+        nnodes = int(round(math.exp(
+            log_lo + (log_hi - log_lo) * rng.random())))
         nnodes = max(lo, min(nnodes, hi))
         ncpus = nnodes * sysp.cpus_per_node
 
@@ -143,7 +177,7 @@ class WorkloadGenerator:
             limit = max_time
         elif roll < params.prob_request_max + params.prob_underrequest:
             # underestimated limit: the job will hit TIMEOUT
-            limit = int(true_rt * rng.uniform(0.55, 0.98))
+            limit = int(true_rt * (0.55 + (0.98 - 0.55) * rng.random()))
             limit = max(60, 60 * int(math.ceil(limit / 60.0)))
             limit = min(limit, max_time)
         else:
@@ -157,7 +191,7 @@ class WorkloadGenerator:
         outcome, cancel_pending, patience = self._draw_outcome(
             rng, user, params, true_rt)
 
-        mem_frac = rng.uniform(0.2, 0.95)
+        mem_frac = 0.2 + (0.95 - 0.2) * rng.random()
         req_mem = int(sysp.mem_per_node_kib * mem_frac)
         gres = f"gpu:{sysp.gpus_per_node}" if params.uses_gpu and \
             sysp.gpus_per_node else ""
@@ -198,13 +232,16 @@ class WorkloadGenerator:
         n = 1 + int(rng.poisson(max(0.0, params.steps_mean - 1.0)))
         # step durations: symmetric Dirichlet split of the elapsed time
         fracs = rng.dirichlet(np.full(n, 1.5))
+        # few-step jobs run each step on most of their nodes, many-step
+        # jobs on a slice
+        lo, hi = (0.5, 1.0) if n <= 4 else (0.05, 0.5)
         steps = []
-        for i, f in enumerate(fracs):
+        for i, f in enumerate(fracs.tolist()):
+            frac_nodes = lo + (hi - lo) * rng.random()
             steps.append(StepPlan(
                 name=f"step{i}",
-                frac_nodes=float(rng.uniform(0.5, 1.0)) if n <= 4
-                else float(rng.uniform(0.05, 0.5)),
-                frac_time=float(f),
-                ntasks_per_node=int(rng.choice([1, 2, 4, 8])),
+                frac_nodes=frac_nodes,
+                frac_time=f,
+                ntasks_per_node=_NTPN[rng.integers(0, 4)],
             ))
         return steps

@@ -15,6 +15,7 @@ qualitative descriptions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro._util.errors import ConfigError
@@ -44,8 +45,11 @@ class ClassParams:
     prob_underrequest: float = 0.06
 
     def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ConfigError("class weight must be >= 0")
+        # the generator picks classes from a cdf of these weights, which
+        # (unlike Generator.choice(p=...)) would not reject NaN or inf
+        if not math.isfinite(self.weight) or self.weight < 0:
+            raise ConfigError(
+                f"class weight must be finite and >= 0, got {self.weight}")
         if not 1 <= self.node_lo <= self.node_hi:
             raise ConfigError(
                 f"bad node range [{self.node_lo}, {self.node_hi}]")
@@ -85,6 +89,8 @@ class WorkloadProfile:
         total = sum(c.weight for c in self.classes.values())
         if total <= 0:
             raise ConfigError("class weights sum to zero")
+        if not math.isfinite(total):
+            raise ConfigError("class weights overflow when summed")
         for name, params in self.classes.items():
             part = self.system.partition(params.partition)   # validates
             self.system.qos(params.qos)

@@ -8,9 +8,12 @@ finds an ephemeral port, and SIGTERM drains it to a clean exit.
 
 import contextlib
 import os
+import re
 import signal
+import socket
 import subprocess
 import sys
+import time
 from http.client import HTTPConnection
 
 import pytest
@@ -100,6 +103,70 @@ def test_sharded_banner_and_clean_sigterm(workdir, tmp_path):
         assert proc.wait(timeout=30) == 0
     err = stderr_path.read_text(encoding="utf-8")
     assert err.count("clean shutdown") == 2
+
+
+def _proc_state(pid):
+    """``pid``'s state letter from ``/proc/<pid>/stat``; None once gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as f:
+            stat = f.read()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+def _is_serve_process(pid):
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as f:
+            return b"repro.serve" in f.read()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+def _refuses(host, port):
+    try:
+        socket.create_connection((host, port), timeout=1).close()
+    except ConnectionRefusedError:
+        return True
+    except OSError:
+        return False
+    return False
+
+
+@pytest.mark.skipif(not sharding_supported() or
+                    not os.path.isdir("/proc/self"),
+                    reason="needs SO_REUSEPORT + fork and /proc")
+def test_shards_exit_when_parent_is_sigkilled(workdir, tmp_path):
+    """A SIGKILLed parent can forward nothing; its shards notice the
+    death on their own, drain, and release the port."""
+    shard_pids = []
+    try:
+        with serving(workdir, tmp_path / "serve.stderr", "--procs", "2",
+                     "--job-workers", "1") as proc:
+            lines = [proc.stdout.readline() for _ in range(3)]
+            banner = next(line for line in lines if " shards on " in line)
+            shard_pids = [int(pid) for pid in re.search(
+                r"\(pids \[([\d, ]+)\]\)", banner).group(1).split(",")]
+            assert len(shard_pids) == 2
+            host, port = address(banner)
+            assert healthz(host, port) == 200
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                states = [_proc_state(pid) for pid in shard_pids]
+                if _refuses(host, port) and \
+                        all(state in (None, "Z") for state in states):
+                    break
+                time.sleep(0.1)
+            assert _refuses(host, port)
+            assert [_proc_state(pid) in (None, "Z")
+                    for pid in shard_pids] == [True, True]
+    finally:
+        for pid in shard_pids:
+            if _proc_state(pid) not in (None, "Z") and \
+                    _is_serve_process(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_procs_below_one_exits_2(workdir, capsys):
