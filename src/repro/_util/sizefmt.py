@@ -13,6 +13,8 @@ the emitter produces.
 
 from __future__ import annotations
 
+import math
+
 from repro._util.errors import DataError
 
 __all__ = ["format_count_k", "parse_count_k", "format_mem", "parse_mem"]
@@ -62,6 +64,8 @@ def parse_count_k(text: str) -> int:
     if val < 0:
         raise DataError(f"negative count: {text!r}")
     out = val * mult
+    if not math.isfinite(out):
+        raise DataError(f"non-finite count: {text!r}")
     rounded = int(round(out))
     if abs(out - rounded) > 1e-6:
         raise DataError(f"non-integral count: {text!r}")
@@ -115,4 +119,7 @@ def parse_mem(text: str) -> tuple[int, str]:
         raise DataError(f"bad memory value: {text!r}") from exc
     if val < 0:
         raise DataError(f"negative memory value: {text!r}")
-    return int(round(val * _MEM_MULT[suffix])), per
+    kib = val * _MEM_MULT[suffix]
+    if not math.isfinite(kib):
+        raise DataError(f"non-finite memory value: {text!r}")
+    return int(round(kib)), per

@@ -9,6 +9,10 @@ curation stage):
 - timestamps: ISO-like ``YYYY-MM-DDTHH:MM:SS`` with the sentinels
   ``Unknown`` and ``None``.
 
+Timestamps in the shape the emitter prints take a lock-free fast path
+(:func:`parse_timestamp`); ``tests/sacct_parse_oracle.py`` keeps the
+slow parse it bypasses as the reference.
+
 Internally everything is integer seconds (durations) or integer epoch
 seconds UTC (timestamps): the analytics layer is vectorized numpy over
 those integers.
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import calendar
 import datetime as _dt
+import re
 from typing import Iterator
 
 from repro._util.errors import DataError
@@ -113,19 +118,42 @@ def format_timestamp(epoch: int) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%S")
 
 
+#: the shape :func:`format_timestamp` prints, ASCII digits only
+_CANONICAL = re.compile(
+    r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)", re.ASCII).fullmatch
+
+
 def parse_timestamp(text: str) -> int:
     """Parse Slurm timestamp text to epoch seconds (UTC).
 
-    Sentinels ``Unknown``/``None``/empty map to ``UNKNOWN_TIME``.
+    Sentinels ``Unknown``/``None``/``N/A``/empty map to ``UNKNOWN_TIME``.
+
+    The canonical ASCII shape ``YYYY-MM-DDTHH:MM:SS`` (all the emitter
+    prints) is built straight into a ``datetime``, whose range checks
+    are ``strptime``'s for that shape.  Any other text (a lowercase
+    ``t``, single-digit or non-ASCII digits) goes to
+    ``datetime.strptime``, so the accepted set and the values are
+    unchanged.  The split matters under threads: CPython's
+    ``_strptime`` takes a module-wide lock and reads the locale on
+    every call, so parallel Curate tasks parsing through it queue
+    behind each other.
+
+    >>> parse_timestamp("2024-03-01T00:00:00")
+    1709251200
     """
     text = text.strip()
     if text in ("", "Unknown", "None", "N/A"):
         return UNKNOWN_TIME
     try:
-        dt = _dt.datetime.strptime(text, "%Y-%m-%dT%H:%M:%S")
+        match = _CANONICAL(text)
+        if match is not None:
+            dt = _dt.datetime(*map(int, match.groups()), tzinfo=_UTC)
+        else:
+            dt = _dt.datetime.strptime(
+                text, "%Y-%m-%dT%H:%M:%S").replace(tzinfo=_UTC)
     except ValueError as exc:
         raise DataError(f"bad timestamp: {text!r}") from exc
-    return int(dt.replace(tzinfo=_UTC).timestamp())
+    return int(dt.timestamp())
 
 
 def month_bounds(month: str) -> tuple[int, int]:

@@ -44,7 +44,8 @@ from repro._util.errors import DataError
 from repro.frame.io import _cell, parse_csv_cells, write_npf
 # read_csv, write_csv: looked up by name by perfbench/tracing.py
 from repro.frame.io import read_csv, write_csv
-from repro.slurm.parse import is_step_jobid, record_from_row
+from repro.slurm.parse import (column_converters, is_step_jobid,
+                                record_from_row)
 from repro.slurm.records import JobRecord, StepRecord
 from repro.store import Artifact, default_hash_cache
 
@@ -128,6 +129,11 @@ class CuratedCsvWriter:
         self._cells = []
 
 
+#: fields :meth:`CurateStage._job_row` reads without a default
+_JOB_ROW_FIELDS = ("Elapsed", "Timelimit", "StartTime", "Eligible",
+                   "EndTime")
+
+
 def _wait_s(start: int, eligible: int, end: int) -> int:
     """Queue wait from curated epochs (``-1`` = Unknown)."""
     if start >= 0:
@@ -161,6 +167,11 @@ class CurateStage:
         if not lines:
             raise DataError(f"empty sacct file: {pipe_path}")
         names = lines[0].split("|")
+        missing = [f for f in _JOB_ROW_FIELDS if f not in names]
+        if missing:
+            raise DataError(f"sacct header of {pipe_path} lacks "
+                            f"{', '.join(missing)}")
+        converters = column_converters(names)
         job_rows: list[dict] = []
         step_rows: list[dict] = []
         for line in lines[1:]:
@@ -169,7 +180,7 @@ class CurateStage:
             report.input_rows += 1
             cells = line.split("|")
             try:
-                typed = record_from_row(names, cells)
+                typed = record_from_row(names, cells, converters)
             except DataError:
                 report.malformed += 1
                 continue
@@ -179,6 +190,9 @@ class CurateStage:
             else:
                 job_rows.append(self._job_row(typed))
                 report.job_rows += 1
+        # drop the pipe text before writing: the flow engine runs the
+        # Curate tasks side by side, so their write peaks coincide
+        del lines
         jobs = Artifact.in_dir(self.out_dir, f"{tag}-jobs", "csv",
                                schema=JOB_CSV_COLUMNS)
         steps = Artifact.in_dir(self.out_dir, f"{tag}-steps", "csv",
@@ -219,7 +233,7 @@ class CurateStage:
         row = {c: typed.get(c, "") for c in STEP_CSV_COLUMNS}
         row.update({
             "StepID": step_id,
-            "ParentJobID": int(parent) if parent.isdigit() else parent,
+            "ParentJobID": int(parent) if parent.isdecimal() else parent,
             "MaxRSS": typed.get("MaxRSS", 0) // 1024,
         })
         return row

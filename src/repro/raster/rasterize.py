@@ -56,7 +56,9 @@ def save_primitives(spec: ChartSpec, html_path: str) -> str:
     }
     os.makedirs(os.path.dirname(os.path.abspath(sidecar)), exist_ok=True)
     with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        # dumps, not dump: one string from the C encoder, where dump
+        # streams chunks through the pure-Python one (same bytes)
+        fh.write(json.dumps(payload))
     return sidecar
 
 

@@ -454,14 +454,21 @@ class SchedulingAnalysisWorkflow:
 
         keys = ["volume", "occupancy"] + \
             [f"{m}-{k}" for m in cfg.months for k in _PLOT_KINDS]
+        plots = ["plot-volume", "plot-occupancy"] + \
+            [f"plot-{k}-{m}" for m in cfg.months for k in _PLOT_KINDS]
         dash_inputs: list[Artifact] = []
         if cfg.enable_ai:
             for key in keys:
                 png = self._png_art(key)
                 md = self._report_md(f"insight-{key}")
+                # HTML2PNG starts after the whole plot stage: otherwise
+                # the month whose Curate ends first fills every worker
+                # with rasterization and the other month's plots run
+                # one at a time behind it
                 eng.task(f"html2png-{key}",
                          lambda k=key: self._html2png(k),
-                         inputs=[self._chart(key)], outputs=[png])
+                         inputs=[self._chart(key)], outputs=[png],
+                         after=plots)
                 eng.task(f"insight-{key}",
                          lambda k=key: self._insight(k),
                          inputs=[png], outputs=[md])
@@ -491,10 +498,7 @@ class SchedulingAnalysisWorkflow:
         eng.task("advisor", self._advise, inputs=all_jobs,
                  outputs=[advisor_md])
         eng.task("dashboard", self._dashboard,
-                 inputs=dash_inputs + [advisor_md],
-                 after=["plot-volume", "plot-occupancy"] +
-                       [f"plot-{k}-{m}" for m in cfg.months
-                        for k in _PLOT_KINDS])
+                 inputs=dash_inputs + [advisor_md], after=plots)
         return eng
 
     def _register_outputs(self, engine: FlowEngine) -> None:

@@ -126,6 +126,15 @@ class TestEndToEndWorkflow:
                     overlaps += 1
         assert overlaps >= 1
 
+    def test_rasterization_starts_after_the_plot_stage(self,
+                                                       workflow_result):
+        """HTML2PNG waits for every plot, so one month's rasterization
+        cannot fill the pool while the other month is still plotting."""
+        events = workflow_result.flow_report.trace.events
+        plotted = max(e.end_s for e in events if e.task.startswith("plot-"))
+        assert min(e.start_s for e in events
+                   if e.task.startswith("html2png-")) >= plotted
+
     def test_cache_reused_on_second_run(self, workflow_result,
                                         tmp_path_factory):
         cfg = workflow_result.config

@@ -1,11 +1,15 @@
 """Tests for the PNG codec, rasterizer, and HTML2PNG task."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro._util.errors import RenderError
 from repro.charts import Axis, ChartSpec, ScatterSeries, write_html
+from repro.charts.render import layout_chart
 from repro.raster import (
     decode_png,
     encode_png,
@@ -223,6 +227,20 @@ class TestChartRaster:
         png = html_to_png(html)
         direct = rasterize_chart(spec)
         assert np.array_equal(decode_png(open(png, "rb").read()), direct)
+
+    def test_sidecar_bytes_are_json_dump_bytes(self, tmp_path):
+        """The sidecar holds what ``json.dump`` streams for the payload;
+        serve's chart ETags hash these bytes."""
+        spec = self._spec()
+        spec.title = "raster tést"
+        sidecar = save_primitives(spec, str(tmp_path / "c.html"))
+        expected = io.StringIO()
+        json.dump({"width": spec.width, "height": spec.height,
+                   "calibration": spec.calibration(),
+                   "primitives": [vars(p) for p in layout_chart(spec)]},
+                  expected)
+        with open(sidecar, encoding="utf-8") as fh:
+            assert fh.read() == expected.getvalue()
 
     def test_html2png_missing_sidecar(self, tmp_path):
         html = tmp_path / "foreign.html"
