@@ -31,8 +31,3 @@ DEFAULT = "#1f77b4"
 def categorical_color(index: int) -> str:
     """The i-th categorical color (cycles)."""
     return CATEGORICAL[index % len(CATEGORICAL)]
-
-
-def state_color(state: str) -> str:
-    """Color for a job state, falling back to the categorical cycle."""
-    return STATE_COLORS.get(state, DEFAULT)

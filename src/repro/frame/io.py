@@ -265,32 +265,7 @@ def write_npf(frame: Frame, path: str | os.PathLike,
     the artifact store uses it to tie a ``.npf`` twin to its source CSV
     by content hash.
     """
-    buffers: list[bytes] = []
-    offset = 0
-
-    def add(buf: bytes) -> list[int]:
-        nonlocal offset
-        start = offset
-        buffers.append(buf)
-        pad = _align_up(len(buf)) - len(buf)
-        if pad:
-            buffers.append(b"\0" * pad)
-        offset = start + _align_up(len(buf))
-        return [start, len(buf)]
-
-    columns = []
-    for name in frame.columns:
-        col = frame[name]
-        if col.dtype == object:
-            tags, offs, data = _encode_object_column(col)
-            columns.append({"name": name, "kind": "object",
-                            "tags": add(tags), "offsets": add(offs),
-                            "data": add(data)})
-        else:
-            le = col.astype(col.dtype.newbyteorder("<"), copy=False)
-            columns.append({"name": name, "kind": "numeric",
-                            "dtype": le.dtype.str,
-                            "data": add(le.tobytes())})
+    buffers, columns, _ = _encode_columns(frame, 0)
     header = json.dumps({"version": 1, "nrows": len(frame),
                          "meta": meta or {}, "columns": columns},
                         separators=(",", ":")).encode("utf-8")

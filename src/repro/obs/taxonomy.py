@@ -68,14 +68,14 @@ _C, _G = "counter", "gauge"
 #: registry are lint findings (RL032); a literal used with the wrong
 #: kind is RL033.
 METRICS: dict[str, MetricDef] = {
-    # -- scheduler (repro.sched.run) --------------------------------------------
+    # -- scheduler (repro.workflows.shard.record_sched_metrics) ----------------
     "sched.passes":          MetricDef(_C, "scheduler passes executed"),
     "sched.backfill_hits":   MetricDef(_C, "jobs started by EASY backfill"),
     "sched.preemptions":     MetricDef(_C, "jobs preempted"),
     "sched.jobs":            MetricDef(_C, "jobs realized into records"),
     "sched.queue_depth_hwm": MetricDef(_G, "peak pending-queue depth"),
 
-    # -- scenario injections (repro.sched.simulator / repro.scenarios) -----------
+    # -- scenario injections (repro.workflows.shard / repro.scenarios) -----------
     "sched.scenario.injections": MetricDef(
         _C, "scenario injection ops applied (fault/cap/elastic onsets)"),
     "sched.scenario.victims": MetricDef(

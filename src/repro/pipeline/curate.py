@@ -16,7 +16,9 @@ Two entry points build the same curated rows:
 - :class:`CurateStage` parses real sacct pipe text (the paper's
   Obtain → Curate workflow) and drops malformed rows;
 - :func:`curate_records` maps in-memory accounting records straight to
-  curated columns (the sharded emit phase, which has no pipe text).
+  curated columns (the sharded emit phase, which has no pipe text),
+  replaying Obtain's fault stream (:class:`~repro.slurm.emit.RowFaults`)
+  to drop the rows the text would have carried truncated.
 
 ``tests/curate_oracle.py`` keeps the text round trip (emit → parse →
 :class:`CurateStage` row builders) as the reference for the second, and
@@ -44,6 +46,7 @@ from repro._util.errors import DataError
 from repro.frame.io import _cell, parse_csv_cells, write_npf
 # read_csv, write_csv: looked up by name by perfbench/tracing.py
 from repro.frame.io import read_csv, write_csv
+from repro.slurm.emit import RowFaults, SacctEmitter
 from repro.slurm.parse import (column_converters, is_step_jobid,
                                 record_from_row)
 from repro.slurm.records import JobRecord, StepRecord
@@ -181,15 +184,14 @@ class CurateStage:
             cells = line.split("|")
             try:
                 typed = record_from_row(names, cells, converters)
+                if is_step_jobid(str(typed.get("JobID", ""))):
+                    step_rows.append(self._step_row(typed))
+                    report.step_rows += 1
+                else:
+                    job_rows.append(self._job_row(typed))
+                    report.job_rows += 1
             except DataError:
                 report.malformed += 1
-                continue
-            if is_step_jobid(str(typed.get("JobID", ""))):
-                step_rows.append(self._step_row(typed))
-                report.step_rows += 1
-            else:
-                job_rows.append(self._job_row(typed))
-                report.job_rows += 1
         # drop the pipe text before writing: the flow engine runs the
         # Curate tasks side by side, so their write peaks coincide
         del lines
@@ -230,10 +232,15 @@ class CurateStage:
     def _step_row(typed: dict) -> dict:
         step_id = str(typed["JobID"])
         parent = step_id.split(".", 1)[0]
+        try:
+            parent_id = int(parent) if parent.isdecimal() else parent
+        except ValueError as exc:   # more digits than int() converts
+            raise DataError(f"bad step JobID: {len(parent)}-digit "
+                            f"parent") from exc
         row = {c: typed.get(c, "") for c in STEP_CSV_COLUMNS}
         row.update({
             "StepID": step_id,
-            "ParentJobID": int(parent) if parent.isdecimal() else parent,
+            "ParentJobID": parent_id,
             "MaxRSS": typed.get("MaxRSS", 0) // 1024,
         })
         return row
@@ -315,24 +322,37 @@ def _record_step_row(step: StepRecord) -> dict:
     }
 
 
-def curate_records(records: Iterable[JobRecord]
+def curate_records(records: Iterable[JobRecord],
+                   faults: RowFaults | None = None
                    ) -> tuple[list[dict], list[dict]]:
     """Curate :class:`~repro.slurm.records.JobRecord` objects in memory.
 
     The sharded pipeline has no sacct pipe text: this maps each record's
     fields straight to the curated columns, giving field for field what
-    :meth:`CurateStage.run` produces from the equivalent pipe file —
-    minus only the malformed-row injection, which is an emit-stage
-    fault model, not a property of the jobs.  The text round trip it
-    replaces is the reference in ``tests/curate_oracle.py``, held to
-    byte identity by ``tests/test_curate_typed.py``.
+    :meth:`CurateStage.run` produces from the equivalent pipe file.
+    ``faults`` is the stream Obtain would have drawn for that file
+    (:func:`~repro.pipeline.obtain.window_rng`): one draw per row in
+    Obtain's order — each job row, then its steps — and a hit row is
+    dropped and counted in ``faults.dropped``, as Curate drops it (a
+    dropped job row keeps its steps).  The text round trip it replaces
+    is the reference in ``tests/curate_oracle.py``, held to byte
+    identity by ``tests/test_curate_typed.py``.
 
-    Returns ``(job_rows, step_rows)`` dicts keyed by the curated CSV
-    schemas.
+    Returns ``(job_rows, step_rows)``, exactly the rows to write, as
+    dicts keyed by the curated CSV schemas.
     """
+    faults = faults or RowFaults(0.0)
     job_rows: list[dict] = []
     step_rows: list[dict] = []
     for job in records:
-        job_rows.append(_record_job_row(job))
-        step_rows.extend(_record_step_row(step) for step in job.steps)
+        # a hit draws its cut from the row's text, as Obtain's does
+        if faults.hit():
+            faults.truncate(SacctEmitter().job_row(job))
+        else:
+            job_rows.append(_record_job_row(job))
+        for step in job.steps:
+            if faults.hit():
+                faults.truncate(SacctEmitter().step_row(step))
+            else:
+                step_rows.append(_record_step_row(step))
     return job_rows, step_rows

@@ -28,7 +28,8 @@ from repro.slurm.db import AccountingDB
 from repro.slurm.emit import DEFAULT_MALFORMED_RATE
 from repro.store import Artifact
 
-__all__ = ["ObtainConfig", "ObtainStage", "ObtainReport", "window_seed"]
+__all__ = ["ObtainConfig", "ObtainStage", "ObtainReport", "window_seed",
+           "window_rng"]
 
 
 def window_seed(name: str) -> int:
@@ -40,6 +41,16 @@ def window_seed(name: str) -> int:
     digest of the name alone.
     """
     return zlib.crc32(name.encode("utf-8"))
+
+
+def window_rng(seed: int, name: str) -> np.random.Generator:
+    """The malformed-row fault stream of one window's pull.
+
+    Obtain draws it while writing the window's sacct text; the sharded
+    emit phase replays it per month (``name`` is the month) so both
+    curate front-ends drop the same rows.
+    """
+    return np.random.default_rng([seed, window_seed(name)])
 
 
 @dataclass(frozen=True)
@@ -106,18 +117,13 @@ class ObtainStage:
                             self.config.cache_dir,
                             f"{self.db.cluster}-{name}.txt"))
 
-    def _window_path(self, name: str) -> str:
-        return self._window_artifact(name).path
-
     def _fetch(self, name: str, months: list[str]) -> tuple[str, int]:
         start, _ = month_bounds(months[0])
         _, end = month_bounds(months[-1])
-        path = self._window_path(name)
-        rng = np.random.default_rng(
-            [self.config.seed, window_seed(name)])
+        path = self._window_artifact(name).path
         rows = self.db.dump_sacct(path, start, end,
                                   malformed_rate=self.config.malformed_rate,
-                                  rng=rng)
+                                  rng=window_rng(self.config.seed, name))
         return path, rows
 
     def run(self) -> ObtainReport:

@@ -38,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", help="registry name or spec file")
     run.add_argument("--workdir", default="scenario-out")
     run.add_argument("--shards", type=int, default=0,
-                     help="paper-scale sharded execution (0 = classic)")
+                     help="paper-scale sharded execution (0 = the "
+                          "text stages; data/ is the same)")
     run.add_argument("--procs", type=int, default=1,
                      help="worker processes for the sharded build")
     run.add_argument("--fabric", action="store_true",

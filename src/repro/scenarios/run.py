@@ -125,9 +125,10 @@ def run_scenario(ref, workdir: str, *, shards: int = 0, procs: int = 1,
     """Execute a scenario end to end under ``workdir``.
 
     Single-system scenarios run the full
-    :class:`~repro.workflows.main.SchedulingAnalysisWorkflow` (classic
-    or sharded per ``shards``/``procs``/``fabric``) with the injection
-    stream attached to every month's simulation; ``profile_spec``
+    :class:`~repro.workflows.main.SchedulingAnalysisWorkflow` (text
+    stages, or sharded per ``shards``/``procs``/``fabric``; a shard
+    count that does not divide the months is a :class:`ConfigError`)
+    with the injection stream attached to the simulated timeline; ``profile_spec``
     substitutes a trace-calibrated workload (see
     :func:`calibrate_trace`).  Federated scenarios route one stream
     across two systems and land the comparison in
@@ -136,11 +137,6 @@ def run_scenario(ref, workdir: str, *, shards: int = 0, procs: int = 1,
     scn = resolve_scenario(ref)
     if scn.kind == "federated":
         return run_federated(scn, workdir)
-    if shards and (shards > len(scn.months)
-                   or len(scn.months) % shards):
-        raise ConfigError(
-            f"scenario {scn.name!r} covers {len(scn.months)} month(s); "
-            f"{shards} shards need a whole number of months each")
 
     from repro.workflows.main import (SchedulingAnalysisWorkflow,
                                       WorkflowConfig)

@@ -26,7 +26,7 @@ from repro.sched.injections import (ElasticWindow, NodeFault, PowerCap,
 from repro.sched.nodes import NodePool
 from repro.sched.priority import PriorityModel
 from repro.sched.simulator import Simulator, SimConfig, SimResult
-from repro.sched.run import simulate_month, simulate_range, build_database
+from repro.sched.run import simulate_month, simulate_range
 from repro.sched.shard import (ChainSimulator, ShardHandoff,
                                finalize_outcomes)
 
@@ -42,7 +42,6 @@ __all__ = [
     "ScenarioInjections",
     "simulate_month",
     "simulate_range",
-    "build_database",
     "ChainSimulator",
     "ShardHandoff",
     "finalize_outcomes",

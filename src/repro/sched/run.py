@@ -1,4 +1,4 @@
-"""Convenience drivers: workload → simulator → accounting database.
+"""Convenience drivers: workload → simulator → accounting records.
 
 These are what examples, tests and benchmarks call to synthesize a
 system's trace for a date range.  Results are deterministic in
@@ -9,63 +9,35 @@ from __future__ import annotations
 
 from repro._util.timefmt import month_bounds
 from repro.sched.simulator import SimConfig, Simulator, SimResult
-from repro.slurm.db import AccountingDB
 from repro.workload.generate import WorkloadGenerator
 from repro.workload.profiles import workload_for
 
-__all__ = ["simulate_range", "simulate_month", "build_database"]
+__all__ = ["simulate_range", "simulate_month"]
 
 
 def simulate_range(system_name: str, start: int, end: int, *,
                    seed: int = 0, rate_scale: float = 1.0,
                    config: SimConfig | None = None,
-                   profile=None, obs=None) -> SimResult:
+                   profile=None) -> SimResult:
     """Generate and schedule the submission stream for ``[start, end)``.
 
     ``profile`` overrides the built-in workload for ``system_name`` —
     scenario replay passes a trace-calibrated
-    :class:`~repro.workload.spec.WorkloadProfile` here.  ``obs`` is an
-    optional :class:`repro.obs.RunContext`; the simulator reports its
-    counters (passes, backfill hits, queue high-water) into it, and the
-    whole simulation runs under a timing span.
+    :class:`~repro.workload.spec.WorkloadProfile` here.
     """
     profile = profile or workload_for(system_name)
     gen = WorkloadGenerator(profile, seed=seed, rate_scale=rate_scale)
     requests = gen.generate(start, end)
-    sim = Simulator(profile.system, config or SimConfig(seed=seed),
-                    obs=obs)
-    if obs is None:
-        return sim.run(requests)
-    with obs.span(f"sim:{system_name}:{start}", jobs=len(requests)):
-        return sim.run(requests)
+    return Simulator(profile.system,
+                     config or SimConfig(seed=seed)).run(requests)
 
 
 def simulate_month(system_name: str, month: str, *,
                    seed: int = 0, rate_scale: float = 1.0,
                    config: SimConfig | None = None,
-                   profile=None, obs=None) -> SimResult:
+                   profile=None) -> SimResult:
     """Generate and schedule one ``YYYY-MM`` month."""
     start, end = month_bounds(month)
     return simulate_range(system_name, start, end, seed=seed,
                           rate_scale=rate_scale, config=config,
-                          profile=profile, obs=obs)
-
-
-def build_database(system_name: str, months: list[str], *,
-                   seed: int = 0, rate_scale: float = 1.0,
-                   config: SimConfig | None = None) -> AccountingDB:
-    """Simulate several months into one accounting database.
-
-    Each month is generated and scheduled independently (matching the
-    paper's month-granularity data pulls); cross-month queue carry-over
-    is intentionally not modelled.
-    """
-    db = AccountingDB(cluster=system_name)
-    for i, month in enumerate(months):
-        result = simulate_month(system_name, month, seed=seed,
-                                rate_scale=rate_scale,
-                                config=config or SimConfig(
-                                    seed=seed,
-                                    first_jobid=400_000 + 1_000_000 * i))
-        db.extend(result.jobs)
-    return db
+                          profile=profile)

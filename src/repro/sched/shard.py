@@ -215,10 +215,6 @@ class ChainSimulator:
                 "n_victims": core.n_fault_victims,
                 "n_shrunk": core.n_shrunk_nodes}
 
-    def live_idx(self) -> list[int]:
-        """Global indices of jobs still live (not yet finished)."""
-        return sorted(self.core.jobs)
-
     # -- export / import ----------------------------------------------------------
 
     def export(self, cut: int) -> ShardHandoff:
@@ -369,11 +365,12 @@ def chain_months(system: SystemProfile, config: SimConfig,
     """Run a whole chain in-process: feed each ``(start, end)`` window
     from ``requests_for(start, end)``, draining fully at the last.
 
-    Returns ``(outcomes by window index of ORIGIN, counters)`` — the
-    single-process reference the sharded orchestrator must match
-    bit-for-bit.  Origin attribution uses each window's global index
-    range (a job belongs to the window it was *submitted* in, matching
-    the classic per-month table layout).
+    Returns ``(outcomes by window index of ORIGIN, counters)``.  The
+    workflow's text front-end simulates with it
+    (:func:`repro.workflows.shard.simulate_chain`), and the sharded
+    orchestrator must match it bit-for-bit.  Origin attribution uses
+    each window's global index range (a job belongs to the window it
+    was *submitted* in, matching the per-month table layout).
     """
     chain = ChainSimulator(system, config)
     bases = []

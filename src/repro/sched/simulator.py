@@ -772,14 +772,10 @@ class _SimCore:
 class Simulator:
     """Run a submission stream through the scheduler on one system."""
 
-    def __init__(self, system: SystemProfile, config: SimConfig | None = None,
-                 obs: "RunContext | None" = None) -> None:
+    def __init__(self, system: SystemProfile,
+                 config: SimConfig | None = None) -> None:
         self.system = system
         self.config = config or SimConfig()
-        #: optional observability context (repro.obs.RunContext); the
-        #: simulator reports pass/backfill counters and the pending
-        #: queue's high-water mark into it after each run
-        self.obs = obs
         self._rng = RngStreams(self.config.seed).child(
             f"sim:{system.name}").fresh("usage")
 
@@ -801,32 +797,13 @@ class Simulator:
         # -- finalize accounting records ---------------------------------------
         jobs = [core.jobs[i] for i in range(len(requests))]
         records = self._finalize(jobs, core.finished)
-        result = SimResult(jobs=records, n_backfilled=core.n_backfilled,
-                           n_sched_passes=core.n_passes,
-                           max_queue_depth=core.max_depth,
-                           n_preempted=core.n_preempted,
-                           n_injections=core.n_injections,
-                           n_fault_victims=core.n_fault_victims,
-                           n_shrunk_nodes=core.n_shrunk_nodes)
-        self._report_obs(result)
-        return result
-
-    def _report_obs(self, result: SimResult) -> None:
-        """Expose scheduler counters on the run context (additive
-        across months simulated into one database; the queue-depth
-        gauge keeps the high-water mark over all of them)."""
-        if self.obs is None:
-            return
-        m = self.obs.metrics
-        m.counter("sched.passes").inc(result.n_sched_passes)
-        m.counter("sched.backfill_hits").inc(result.n_backfilled)
-        m.counter("sched.preemptions").inc(result.n_preempted)
-        m.counter("sched.jobs").inc(len(result.jobs))
-        m.gauge("sched.queue_depth_hwm").set_max(result.max_queue_depth)
-        if result.n_injections:
-            m.counter("sched.scenario.injections").inc(result.n_injections)
-            m.counter("sched.scenario.victims").inc(result.n_fault_victims)
-            m.counter("sched.scenario.shrunk").inc(result.n_shrunk_nodes)
+        return SimResult(jobs=records, n_backfilled=core.n_backfilled,
+                         n_sched_passes=core.n_passes,
+                         max_queue_depth=core.max_depth,
+                         n_preempted=core.n_preempted,
+                         n_injections=core.n_injections,
+                         n_fault_victims=core.n_fault_victims,
+                         n_shrunk_nodes=core.n_shrunk_nodes)
 
     # -- internals ------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import os
 import threading
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -98,10 +98,6 @@ class AccountingDB:
         for job in self._jobs:
             seen.setdefault(format_timestamp(job.submit)[:7])
         return sorted(seen)
-
-    def iter_steps(self) -> Iterator:
-        for job in self.jobs:
-            yield from job.steps
 
     def n_steps(self) -> int:
         return sum(len(j.steps) for j in self._jobs)

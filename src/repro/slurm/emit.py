@@ -15,7 +15,10 @@ the paper's curation stage has to undo:
 The emitter can also inject *malformed* rows (truncated mid-record) at a
 configurable rate, modelling the "malformed records, mostly associated
 with hardware errors, accounting for less than 0.002% of the total" that
-the curation stage discards.
+the curation stage discards.  :class:`RowFaults` is that fault model on
+its own, so the typed curate path
+(:func:`~repro.pipeline.curate.curate_records`) drops exactly the rows
+the text path's Curate finds truncated.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from repro._util.timefmt import format_slurm_duration, format_timestamp
 from repro.slurm.fields import OBTAIN_FIELDS, FIELDS_BY_NAME, FieldSpec
 from repro.slurm.records import JobRecord, StepRecord
 
-__all__ = ["SacctEmitter", "DEFAULT_MALFORMED_RATE"]
+__all__ = ["SacctEmitter", "RowFaults", "DEFAULT_MALFORMED_RATE"]
 
 #: The paper reports malformed records at "less than 0.002%".
 DEFAULT_MALFORMED_RATE = 1.5e-5
@@ -145,6 +148,39 @@ _STEP_GETTERS: dict[str, Callable[[StepRecord], object]] = {
 }
 
 
+class RowFaults:
+    """Which emitted rows arrive truncated, and where they are cut.
+
+    One ``rng.random()`` draw per row, in emission order, decides a hit
+    at probability ``rate`` (no draw at all when ``rate`` is 0).  A hit
+    then draws its cut from the row's text, so only a hit needs the
+    text.  ``dropped`` counts the hits: a truncated row has fewer cells
+    than the header, so Curate drops every one of them.
+    """
+
+    def __init__(self, rate: float,
+                 rng: np.random.Generator | None = None) -> None:
+        if rate and rng is None:
+            raise ConfigError("malformed_rate requires an rng")
+        if not 0.0 <= rate < 1.0:
+            raise ConfigError(f"bad malformed_rate {rate}")
+        self.rate = rate
+        self.rng = rng
+        self.dropped = 0
+
+    def hit(self) -> bool:
+        """Draw one row's fault; True when the row arrives truncated."""
+        if self.rate and self.rng.random() < self.rate:
+            self.dropped += 1
+            return True
+        return False
+
+    def truncate(self, row: str) -> str:
+        """A hit row cut at a random interior separator."""
+        cut = int(self.rng.integers(1, max(2, row.count("|"))))
+        return "|".join(row.split("|")[:cut])
+
+
 class SacctEmitter:
     """Format job/step records as ``sacct -P`` pipe-separated text.
 
@@ -172,12 +208,7 @@ class SacctEmitter:
         self.fields: list[FieldSpec] = [FIELDS_BY_NAME[n] for n in names]
         self.names = [f.name for f in self.fields]
         self.include_steps = include_steps
-        if malformed_rate and rng is None:
-            raise ConfigError("malformed_rate requires an rng")
-        if not 0.0 <= malformed_rate < 1.0:
-            raise ConfigError(f"bad malformed_rate {malformed_rate}")
-        self.malformed_rate = malformed_rate
-        self.rng = rng
+        self.faults = RowFaults(malformed_rate, rng)
 
     # -- row production ---------------------------------------------------------
 
@@ -193,12 +224,7 @@ class SacctEmitter:
                         for n in self.names)
 
     def _maybe_corrupt(self, row: str) -> str:
-        if self.malformed_rate and self.rng is not None \
-                and self.rng.random() < self.malformed_rate:
-            # Truncate at a random interior position: field count now wrong.
-            cut = int(self.rng.integers(1, max(2, row.count("|"))))
-            return "|".join(row.split("|")[:cut])
-        return row
+        return self.faults.truncate(row) if self.faults.hit() else row
 
     def rows(self, jobs: Iterable[JobRecord]) -> Iterator[str]:
         """Yield formatted rows for jobs (and their steps)."""

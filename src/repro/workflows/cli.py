@@ -45,9 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="submission-rate multiplier for the synthetic "
                         "workload")
     p.add_argument("--shards", type=int, default=0,
-                   help="paper-scale mode: simulate one continuous "
-                        "timeline split into this many month groups "
-                        "(0 = classic independent months)")
+                   help="paper-scale mode: split the simulated "
+                        "timeline into this many month groups and "
+                        "curate records directly (0 = the Obtain -> "
+                        "Curate text stages; data/ is the same)")
     p.add_argument("--procs", type=int, default=1,
                    help="worker processes for the sharded build")
     p.add_argument("--fabric", action="store_true",

@@ -49,10 +49,14 @@ from repro.pipeline import (
     ObtainStage,
 )
 from repro.raster import html_to_png, save_primitives
-from repro.sched import SimConfig, simulate_month
+from repro.sched import SimConfig
+# simulate_month: looked up by name by perfbench/tracing.py
+from repro.sched import simulate_month
 from repro.slurm.db import AccountingDB
 from repro.slurm.emit import DEFAULT_MALFORMED_RATE
 from repro.store import Artifact, ArtifactStore
+from repro.workflows.shard import (plan_shards, record_sched_metrics,
+                                   run_sharded, simulate_chain)
 
 __all__ = ["WorkflowConfig", "WorkflowResult", "SchedulingAnalysisWorkflow"]
 
@@ -80,17 +84,19 @@ class WorkflowConfig:
     llm_backend: str = "chart-analyst"
     malformed_rate: float = DEFAULT_MALFORMED_RATE
     db: AccountingDB | None = None    # supply an existing database
-    #: scheduler-config template for the synthesized database (scenario
-    #: runs attach their injection stream here); per-month seeds and
-    #: job-id bases are layered on top with dataclasses.replace
+    #: scheduler-config template for the synthesized timeline (scenario
+    #: runs attach their injection stream here); the run's seed is
+    #: layered on top with dataclasses.replace
     sim_config: SimConfig | None = None
     #: trace-calibrated workload profile spec (see
     #: repro.workload.spec.profile_to_spec); None = the built-in
     #: workload for ``system``
     profile_spec: dict | None = None
-    #: > 0 switches to paper-scale sharded execution: one continuous
-    #: simulated timeline split into this many month groups, curated
-    #: tables streamed out per month (repro.workflows.shard)
+    #: every build simulates one continuous timeline over ``months``;
+    #: 0 curates it through the paper's Obtain → Curate text stages,
+    #: > 0 splits it into this many month groups and curates the
+    #: records directly, streamed out per month (repro.workflows.shard).
+    #: ``data/`` is byte-identical either way
     shards: int = 0
     #: worker processes for the sharded build (1 = in-process)
     procs: int = 1
@@ -105,6 +111,8 @@ class WorkflowConfig:
             raise ConfigError("months must be sorted")
         if self.shards < 0:
             raise ConfigError(f"shards must be >= 0, got {self.shards}")
+        if self.shards:
+            plan_shards(months, self.shards)
         if self.procs < 1:
             raise ConfigError(f"procs must be >= 1, got {self.procs}")
         if self.fabric and not self.shards:
@@ -135,7 +143,7 @@ class WorkflowResult:
     manifest: dict[str, str] = field(default_factory=dict)
     #: the dashboard's trace & provenance page
     trace_page: str = ""
-    #: sharded-build report (None for the classic per-month path)
+    #: sharded-build report (None for the text front-end)
     shard_report: object = None
 
 
@@ -203,23 +211,22 @@ class SchedulingAnalysisWorkflow:
         with self._lock:
             return self._ensure_db_locked()
 
+    def _sim_config(self) -> SimConfig:
+        return replace(self.config.sim_config or SimConfig(),
+                       seed=self.config.seed)
+
     def _ensure_db_locked(self) -> AccountingDB:
         if self._db is None:
-            from repro.workload.spec import profile_from_spec
-
             cfg = self.config
-            base = cfg.sim_config or SimConfig()
-            profile = profile_from_spec(cfg.profile_spec) \
-                if cfg.profile_spec else None
+            with self.obs.span(f"sim:{cfg.system}",
+                               months=len(cfg.months)):
+                records, counters = simulate_chain(
+                    cfg.system, list(cfg.months), seed=cfg.seed,
+                    rate_scale=cfg.rate_scale, config=self._sim_config(),
+                    profile_spec=cfg.profile_spec)
+            record_sched_metrics(self.obs, counters)
             db = AccountingDB(cfg.system)
-            for i, month in enumerate(cfg.months):
-                res = simulate_month(
-                    cfg.system, month, seed=cfg.seed + i,
-                    rate_scale=cfg.rate_scale,
-                    config=replace(base, seed=cfg.seed + i,
-                                   first_jobid=400_000 + 1_000_000 * i),
-                    profile=profile, obs=self.obs)
-                db.extend(res.jobs)
+            db.extend(records)
             self._db = db
         return self._db
 
@@ -242,27 +249,26 @@ class SchedulingAnalysisWorkflow:
     def _shard_build(self) -> None:
         """Sharded replacement for every Obtain + Curate task.
 
-        One continuous scheduler timeline over all months, split into
-        ``cfg.shards`` chained boundary-state shards, with curated
-        month tables streamed into the same ``data/`` artifacts the
-        classic path writes.  Malformed-line injection is an emit-stage
-        fault model of the sacct *pipe*; the sharded path finalizes
-        records directly, so there is no pipe artifact and nothing to
-        drop (``curate_malformed`` stays 0).
+        The same timeline, split into ``cfg.shards`` chained
+        boundary-state shards, with curated month tables streamed into
+        the same ``data/`` artifacts the text stages write.  The emit
+        phase replays Obtain's fault stream, so it drops the rows
+        Curate would find truncated and counts them.
         """
         from repro.fabric import fabric_db_path
-        from repro.workflows.shard import run_sharded
 
         cfg = self.config
-        base = cfg.sim_config or SimConfig()
-        self.result.shard_report = run_sharded(
+        report = self.result.shard_report = run_sharded(
             cfg.system, list(cfg.months), cfg.workdir,
             shards=cfg.shards, procs=cfg.procs, seed=cfg.seed,
-            rate_scale=cfg.rate_scale,
-            config=replace(base, seed=cfg.seed),
+            rate_scale=cfg.rate_scale, config=self._sim_config(),
             profile_spec=cfg.profile_spec,
             fabric_db=fabric_db_path(cfg.workdir) if cfg.fabric else None,
-            data_dir=self.store.dir_for("csv"), obs=self.obs)
+            data_dir=self.store.dir_for("csv"),
+            malformed_rate=cfg.malformed_rate, obs=self.obs)
+        self.result.curate_malformed = report.malformed
+        self.result.curate_rows = \
+            report.n_jobs + report.n_steps + report.malformed
 
     def _plot(self, month: str, kind: str) -> None:
         jobs = self._month_jobs(month)
@@ -280,26 +286,24 @@ class SchedulingAnalysisWorkflow:
             raise ConfigError(f"unknown plot kind {kind!r}")
         # a fresh spec per month: the figure builders may memoize, so
         # the shared instance is never mutated in place
-        spec = replace(spec, title=f"{spec.title} — {month}",
-                       chart_id=f"{kind}-{month}")
-        html = self._chart(f"{month}-{kind}")
+        self._write_chart(f"{month}-{kind}", replace(
+            spec, title=f"{spec.title} — {month}",
+            chart_id=f"{kind}-{month}"))
+
+    def _write_chart(self, key: str, spec: ChartSpec) -> None:
+        html = self._chart(key)
         write_html(spec, html.path)
         save_primitives(spec, html.path)
-        self._specs[f"{month}-{kind}"] = spec
-        self.result.chart_html[f"{month}-{kind}"] = html.path
+        self._specs[key] = spec
+        self.result.chart_html[key] = html.path
 
     def _plot_volume(self) -> None:
         jobs = self._all_jobs()
         steps = self._all_steps()
         self.result.n_jobs = len(jobs)
         self.result.n_steps = len(steps)
-        spec = fig1_volume_chart(volume_by_year(jobs, steps),
-                                 self.config.system)
-        html = self._chart("volume")
-        write_html(spec, html.path)
-        save_primitives(spec, html.path)
-        self._specs["volume"] = spec
-        self.result.chart_html["volume"] = html.path
+        self._write_chart("volume", fig1_volume_chart(
+            volume_by_year(jobs, steps), self.config.system))
 
     def _total_nodes(self, jobs) -> int:
         try:
@@ -310,12 +314,8 @@ class SchedulingAnalysisWorkflow:
     def _plot_occupancy(self) -> None:
         jobs = self._all_jobs()
         occ = occupancy_timeline(jobs, self._total_nodes(jobs))
-        spec = occupancy_chart(occ, self.config.system)
-        html = self._chart("occupancy")
-        write_html(spec, html.path)
-        save_primitives(spec, html.path)
-        self._specs["occupancy"] = spec
-        self.result.chart_html["occupancy"] = html.path
+        self._write_chart("occupancy",
+                          occupancy_chart(occ, self.config.system))
 
     def _html2png(self, key: str) -> None:
         html_path = self.result.chart_html[key]
@@ -365,16 +365,12 @@ class SchedulingAnalysisWorkflow:
     def _advise(self) -> None:
         """The policy-advisor stage (future-work extension)."""
         jobs = self._all_jobs()
-        try:
-            total_nodes = get_system(self.config.system).total_nodes
-        except Exception:
-            total_nodes = int(jobs["NNodes"].max()) if len(jobs) else 1
         advisor = PolicyAdvisor(
             waits=wait_times(jobs),
             states=states_per_user(jobs, min_jobs=5),
             backfill=walltime_accuracy(jobs),
             scale=nodes_vs_elapsed(jobs),
-            util=utilization(jobs, total_nodes=total_nodes),
+            util=utilization(jobs, total_nodes=self._total_nodes(jobs)),
         )
         self.result.advisor_report = advisor.report()
         out = self._report_md("policy-advisor").path

@@ -1,10 +1,12 @@
-"""Paper-scale sharded execution: plan → simulate → handoff → emit.
+"""The workflow's one timeline: plan → simulate → handoff → emit.
 
-The classic workflow simulates each month independently and holds whole
-tables in memory — fine at demo ``rate_scale``, impossible at the
-paper's full Frontier year (~1.5 M jobs, ~18 M steps).  This module runs
-the year as ONE continuous scheduler timeline, partitioned into shards
-of whole months:
+Every build of the workflow's ``data/`` simulates its months as ONE
+continuous scheduler timeline, with queue and running jobs carried
+across month boundaries.  The Obtain → Curate text front-end takes its
+accounting records from :func:`simulate_chain` (the whole chain in one
+process).  At the paper's full Frontier year (~1.5 M jobs, ~18 M steps)
+that would hold every record in memory at once, so :func:`run_sharded`
+partitions the same timeline into shards of whole months:
 
 1. **Simulate, chained.**  Shard *k* resumes from shard *k-1*'s
    :class:`~repro.sched.shard.ShardHandoff` (carried-over running jobs,
@@ -21,9 +23,12 @@ of whole months:
    straight to curated rows (:func:`~repro.pipeline.curate.curate_records`,
    no sacct text in between), which
    :class:`~repro.pipeline.curate.CuratedCsvWriter` streams into the same
-   ``data/<month>-jobs.csv`` / ``-steps.csv`` artifacts the classic
-   workflow produces, each ``.npf`` twin built from the cells just
-   written.
+   ``data/<month>-jobs.csv`` / ``-steps.csv`` artifacts the text
+   front-end produces, each ``.npf`` twin built from the cells just
+   written.  The month's malformed-row fault stream is replayed from
+   Obtain's seeding (:func:`~repro.pipeline.obtain.window_rng`), so the
+   rows Obtain would have truncated are dropped here too, and ``data/``
+   is byte-identical for every shard count and for the text front-end.
 
 No stage ever materializes more than roughly one month plus the live
 boundary state: the simulate phase streams outcome rows out as they
@@ -36,6 +41,7 @@ from __future__ import annotations
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -49,18 +55,22 @@ from repro.frame.io import NpfAppender, iter_npf
 from repro.frame.io import read_csv, write_npf
 from repro.pipeline.curate import (JOB_CSV_COLUMNS, STEP_CSV_COLUMNS,
                                    CuratedCsvWriter, curate_records)
+from repro.pipeline.obtain import window_rng
 from repro.sched.injections import ScenarioInjections
 from repro.sched.priority import PriorityModel
 from repro.sched.shard import (SPOOL_COLUMNS, ChainSimulator, ShardHandoff,
-                               finalize_outcomes)
+                               chain_months, finalize_outcomes)
 from repro.sched.simulator import SimConfig
+from repro.slurm.emit import DEFAULT_MALFORMED_RATE, RowFaults
+from repro.slurm.records import JobRecord
 from repro.store import Artifact
 from repro.workload.generate import WorkloadGenerator
 from repro.workload.profiles import workload_for
 from repro.workload.spec import profile_from_spec
 
 __all__ = ["plan_shards", "run_sharded", "run_sim_shard", "run_emit_month",
-           "simconfig_to_spec", "simconfig_from_spec", "ShardRunReport"]
+           "simulate_chain", "record_sched_metrics", "simconfig_to_spec",
+           "simconfig_from_spec", "ShardRunReport"]
 
 #: outcomes finalized per batch in the emit phase (bounds peak record
 #: objects, not correctness — finalization is order-independent)
@@ -107,27 +117,75 @@ def plan_shards(months: list[str], shards: int) -> list[list[str]]:
     return [list(months[i * per:(i + 1) * per]) for i in range(shards)]
 
 
+#: spool columns holding text; the others are int64
+_SPOOL_TEXT = ("state", "reason", "node_list")
+
+
 def _spool_frame(rows: list[dict]) -> Frame:
     """Outcome rows as a fixed-dtype Frame (stable spool bytes)."""
-    return Frame({
-        "idx": np.asarray([r["idx"] for r in rows], dtype=np.int64),
-        "state": np.asarray([r["state"] for r in rows], dtype=object),
-        "eligible": np.asarray([r["eligible"] for r in rows],
-                               dtype=np.int64),
-        "start": np.asarray([r["start"] for r in rows], dtype=np.int64),
-        "end": np.asarray([r["end"] for r in rows], dtype=np.int64),
-        "reason": np.asarray([r["reason"] for r in rows], dtype=object),
-        "backfilled": np.asarray([r["backfilled"] for r in rows],
-                                 dtype=np.int64),
-        "restarts": np.asarray([r["restarts"] for r in rows],
-                               dtype=np.int64),
-        "node_list": np.asarray([r["node_list"] for r in rows],
-                                dtype=object),
-    })
+    return Frame({c: np.asarray([r[c] for r in rows], dtype=object
+                                if c in _SPOOL_TEXT else np.int64)
+                  for c in SPOOL_COLUMNS})
 
 
 def _spool_path(spool_dir: str, month: str) -> str:
     return os.path.join(spool_dir, f"spool-{month}.npf")
+
+
+def _generator(payload: dict) -> WorkloadGenerator:
+    profile = profile_from_spec(payload["profile"]) \
+        if payload.get("profile") else workload_for(payload["system"])
+    return WorkloadGenerator(profile, seed=payload["seed"],
+                             rate_scale=payload["rate_scale"])
+
+
+# -- the chain in one process (the text front-end's records) ------------------------
+
+def simulate_chain(system: str, months: list[str], *, seed: int,
+                   rate_scale: float, config: SimConfig,
+                   profile_spec: dict | None = None
+                   ) -> tuple[list[JobRecord], dict]:
+    """Simulate ``months`` as one chained timeline in this process.
+
+    Returns every month's finalized accounting records, in submission
+    order, and the chain's scheduler counters: the timeline and records
+    :func:`run_sharded` writes for any shard count.  Each month's
+    requests are generated once and finalized per origin month.
+    """
+    gen = _generator({"system": system, "profile": profile_spec,
+                      "seed": seed, "rate_scale": rate_scale})
+    machine = get_system(system)
+    generated: list[list] = []
+
+    def requests_for(start: int, end: int) -> list:
+        generated.append(gen.generate(start, end))
+        return generated[-1]
+
+    by_origin, counters = chain_months(
+        machine, config, [month_bounds(m) for m in months], requests_for)
+    records: list[JobRecord] = []
+    base = 0
+    for w, reqs in enumerate(generated):
+        records += finalize_outcomes(machine, config, reqs, base,
+                                     by_origin.get(w, []))
+        base += len(reqs)
+    return records, counters
+
+
+def record_sched_metrics(obs, counters: dict) -> None:
+    """Put a chained timeline's scheduler counters
+    (:attr:`~repro.sched.shard.ChainSimulator.counters`) on a run
+    context, whichever front-end curated it."""
+    m = obs.metrics
+    m.counter("sched.passes").inc(counters["n_passes"])
+    m.counter("sched.backfill_hits").inc(counters["n_backfilled"])
+    m.counter("sched.preemptions").inc(counters["n_preempted"])
+    m.counter("sched.jobs").inc(counters["n_finished"])
+    m.gauge("sched.queue_depth_hwm").set_max(counters["max_depth"])
+    if counters["n_injections"]:
+        m.counter("sched.scenario.injections").inc(counters["n_injections"])
+        m.counter("sched.scenario.victims").inc(counters["n_victims"])
+        m.counter("sched.scenario.shrunk").inc(counters["n_shrunk"])
 
 
 # -- worker tasks (JSON in / JSON out: pool- and fabric-runnable) -------------------
@@ -143,10 +201,7 @@ def run_sim_shard(payload: dict, obs=None) -> dict:
     """
     system = get_system(payload["system"])
     config = simconfig_from_spec(payload["config"])
-    profile = profile_from_spec(payload["profile"]) \
-        if payload.get("profile") else workload_for(payload["system"])
-    gen = WorkloadGenerator(profile, seed=payload["seed"],
-                            rate_scale=payload["rate_scale"])
+    gen = _generator(payload)
     handoff = ShardHandoff.load(payload["handoff_in"]) \
         if payload.get("handoff_in") else None
     chain = ChainSimulator(system, config, handoff=handoff)
@@ -183,12 +238,9 @@ def run_sim_shard(payload: dict, obs=None) -> dict:
             my_bases.append([month, base, len(reqs)])
             all_bases.append((month, base, len(reqs)))
             final = payload.get("final") and month == months[-1]
-            if ctx is not None:
-                with ctx.span(f"shard-window:{month}", jobs=len(reqs),
-                              carried=carried_in):
-                    outcomes = chain.run_window(
-                        reqs, None if final else end)
-            else:
+            with nullcontext() if ctx is None else ctx.span(
+                    f"shard-window:{month}", jobs=len(reqs),
+                    carried=carried_in):
                 outcomes = chain.run_window(reqs, None if final else end)
             by_month: dict[str, list[dict]] = {}
             for out in outcomes:
@@ -205,24 +257,29 @@ def run_sim_shard(payload: dict, obs=None) -> dict:
         for app in appenders.values():
             app.close()
 
-    carried_out = len(chain.core.jobs)
     if payload.get("handoff_out"):
         chain.export(cut=month_bounds(months[-1])[1]).save(
             payload["handoff_out"])
+    result = {"bases": my_bases, "spool_rows": spool_rows,
+              "carried": len(chain.core.jobs), "live_hwm": live_hwm,
+              "windows": len(months), "counters": chain.counters}
     if ctx is not None:
         # recorded on the worker's own context so the merged manifest
         # carries sched.shard.* even when no orchestrator obs is wired
-        ctx.metrics.counter("sched.shard.windows").inc(len(months))
-        ctx.metrics.counter("sched.shard.carried_jobs").inc(carried_out)
-        ctx.metrics.counter("sched.shard.spool_rows").inc(
-            sum(spool_rows.values()))
-        ctx.metrics.gauge("sched.shard.live_jobs_hwm").set_max(live_hwm)
-        if payload.get("handoff_out"):
-            ctx.metrics.counter("sched.shard.handoffs").inc()
+        _record_shard_metrics(ctx, result, bool(payload.get("handoff_out")))
         ctx.write_manifest(payload["manifest_dir"])
-    return {"bases": my_bases, "spool_rows": spool_rows,
-            "carried": carried_out, "live_hwm": live_hwm,
-            "windows": len(months), "counters": chain.counters}
+    return result
+
+
+def _record_shard_metrics(ctx, res: dict, handoff: bool) -> None:
+    """One sim shard's ``sched.shard.*`` metrics on a run context."""
+    m = ctx.metrics
+    m.counter("sched.shard.windows").inc(res["windows"])
+    m.counter("sched.shard.carried_jobs").inc(res["carried"])
+    m.counter("sched.shard.spool_rows").inc(sum(res["spool_rows"].values()))
+    m.gauge("sched.shard.live_jobs_hwm").set_max(res["live_hwm"])
+    if handoff:
+        m.counter("sched.shard.handoffs").inc()
 
 
 def run_emit_month(payload: dict, obs=None) -> dict:
@@ -230,17 +287,15 @@ def run_emit_month(payload: dict, obs=None) -> dict:
 
     Payload: ``system, month, base, n, seed, rate_scale, config``
     (spec), ``profile`` (spec or None), ``spool`` (path), ``data_dir``,
-    optional ``batch_rows`` and ``manifest_dir``.  Regenerates the
-    month's submission stream from the seed (window generation is
-    sharding-invariant), so only the lightweight outcome rows travel
-    between phases.
+    optional ``malformed_rate``, ``batch_rows`` and ``manifest_dir``.
+    Regenerates the month's submission stream from the seed (window
+    generation is sharding-invariant), so only the lightweight outcome
+    rows travel between phases.  Rows hit by the month's replayed
+    Obtain fault stream are dropped and counted in ``malformed``.
     """
     system = get_system(payload["system"])
     config = simconfig_from_spec(payload["config"])
-    profile = profile_from_spec(payload["profile"]) \
-        if payload.get("profile") else workload_for(payload["system"])
-    gen = WorkloadGenerator(profile, seed=payload["seed"],
-                            rate_scale=payload["rate_scale"])
+    gen = _generator(payload)
     month = payload["month"]
     base, n = int(payload["base"]), int(payload["n"])
     start, end = month_bounds(month)
@@ -260,19 +315,8 @@ def run_emit_month(payload: dict, obs=None) -> dict:
     spool = payload["spool"]
     if os.path.exists(spool):
         for chunk in iter_npf(spool):
-            cols = {c: chunk[c] for c in SPOOL_COLUMNS}
-            for i in range(len(chunk)):
-                outcomes.append({
-                    "idx": int(cols["idx"][i]),
-                    "state": str(cols["state"][i]),
-                    "eligible": int(cols["eligible"][i]),
-                    "start": int(cols["start"][i]),
-                    "end": int(cols["end"][i]),
-                    "reason": str(cols["reason"][i]),
-                    "backfilled": int(cols["backfilled"][i]),
-                    "restarts": int(cols["restarts"][i]),
-                    "node_list": str(cols["node_list"][i]),
-                })
+            cols = [chunk[c].tolist() for c in SPOOL_COLUMNS]
+            outcomes += [dict(zip(SPOOL_COLUMNS, row)) for row in zip(*cols)]
     if len(outcomes) != n:
         raise WorkflowError(
             f"emit {month}: {len(outcomes)} outcomes for {n} submitted "
@@ -285,13 +329,15 @@ def run_emit_month(payload: dict, obs=None) -> dict:
     steps_art = Artifact.in_dir(data_dir, f"{month}-steps", "csv",
                                 schema=tuple(STEP_CSV_COLUMNS))
     batch_rows = int(payload.get("batch_rows") or DEFAULT_BATCH_ROWS)
+    faults = RowFaults(payload.get("malformed_rate", 0.0),
+                       window_rng(payload["seed"], month))
     n_jobs = n_steps = 0
     with CuratedCsvWriter(jobs_art) as jobs_out, \
             CuratedCsvWriter(steps_art) as steps_out:
         for lo in range(0, len(outcomes), batch_rows):
             records = finalize_outcomes(system, config, reqs, base,
                                         outcomes[lo:lo + batch_rows])
-            job_rows, step_rows = curate_records(records)
+            job_rows, step_rows = curate_records(records, faults)
             jobs_out.write_rows(job_rows)
             steps_out.write_rows(step_rows)
             n_jobs += len(job_rows)
@@ -307,7 +353,7 @@ def run_emit_month(payload: dict, obs=None) -> dict:
         ctx.write_manifest(payload["manifest_dir"])
     return {"month": month, "jobs_csv": jobs_art.path,
             "steps_csv": steps_art.path, "n_jobs": n_jobs,
-            "n_steps": n_steps}
+            "n_steps": n_steps, "malformed": faults.dropped}
 
 
 # -- dispatch (inline / process pool / fabric) --------------------------------------
@@ -384,6 +430,8 @@ class ShardRunReport:
     artifacts: dict = field(default_factory=dict)
     n_jobs: int = 0
     n_steps: int = 0
+    #: rows dropped by the replayed Obtain fault stream
+    malformed: int = 0
     carried_total: int = 0
     live_jobs_hwm: int = 0
     spool_rows: int = 0
@@ -398,14 +446,17 @@ def run_sharded(system: str, months: list[str], out_dir: str, *,
                 fabric_db: str | None = None,
                 data_dir: str | None = None,
                 batch_rows: int = DEFAULT_BATCH_ROWS,
+                malformed_rate: float = DEFAULT_MALFORMED_RATE,
                 manifests: bool = True, obs=None) -> ShardRunReport:
     """Build a sharded accounting dataset under ``out_dir``.
 
     Curated month tables land in ``data_dir`` (default
-    ``out_dir/data`` — the classic workflow layout); handoffs, spools
-    and per-shard manifests under ``out_dir/shards``.  ``obs`` is an
-    optional :class:`repro.obs.RunContext` for the orchestrator-side
-    spans and ``sched.shard.*`` metrics.
+    ``out_dir/data`` — the workflow layout); handoffs, spools and
+    per-shard manifests under ``out_dir/shards``.  ``malformed_rate``
+    is Obtain's fault rate, replayed per month by the emit phase.
+    ``obs`` is an optional :class:`repro.obs.RunContext` for the
+    orchestrator-side spans, the ``sched.shard.*`` metrics and the
+    scheduler counters (:func:`record_sched_metrics`).
     """
     months = list(months)
     groups = plan_shards(months, shards)
@@ -440,11 +491,8 @@ def run_sharded(system: str, months: list[str], out_dir: str, *,
                    "handoff_out": handoff_out,
                    "spool_dir": spool_dir, "final": last,
                    "manifest_dir": manifest_dir(f"sim-{k:03d}")}
-        if obs is not None:
-            with obs.span(f"shard-sim:{k}", months=len(group)):
-                res = dispatch.run_stage("shard_sim", [payload],
-                                         sequential=True)[0]
-        else:
+        with nullcontext() if obs is None else obs.span(
+                f"shard-sim:{k}", months=len(group)):
             res = dispatch.run_stage("shard_sim", [payload],
                                      sequential=True)[0]
         report.bases.extend(res["bases"])
@@ -455,23 +503,10 @@ def run_sharded(system: str, months: list[str], out_dir: str, *,
         if payload["manifest_dir"]:
             manifest_dirs.append(payload["manifest_dir"])
         if obs is not None:
-            obs.metrics.counter("sched.shard.windows").inc(res["windows"])
-            obs.metrics.counter("sched.shard.carried_jobs").inc(
-                res["carried"])
-            obs.metrics.counter("sched.shard.spool_rows").inc(
-                sum(res["spool_rows"].values()))
-            obs.metrics.gauge("sched.shard.live_jobs_hwm").set_max(
-                res["live_hwm"])
-            if handoff_out:
-                obs.metrics.counter("sched.shard.handoffs").inc()
+            _record_shard_metrics(obs, res, bool(handoff_out))
         handoff_prev = handoff_out
-    if obs is not None and report.counters.get("n_injections"):
-        obs.metrics.counter("sched.scenario.injections").inc(
-            report.counters["n_injections"])
-        obs.metrics.counter("sched.scenario.victims").inc(
-            report.counters["n_victims"])
-        obs.metrics.counter("sched.scenario.shrunk").inc(
-            report.counters["n_shrunk"])
+    if obs is not None:
+        record_sched_metrics(obs, report.counters)
 
     # phase 2: per-month emit fan-out
     base_by_month = {m: (b, n) for m, b, n in report.bases}
@@ -483,12 +518,10 @@ def run_sharded(system: str, months: list[str], out_dir: str, *,
                          "config": cfg_spec, "profile": profile_spec,
                          "spool": _spool_path(spool_dir, month),
                          "data_dir": data_dir, "batch_rows": batch_rows,
+                         "malformed_rate": malformed_rate,
                          "manifest_dir": manifest_dir(f"emit-{month}")})
-    if obs is not None:
-        with obs.span("shard-emit", months=len(months)):
-            emitted = dispatch.run_stage("shard_emit", payloads,
-                                         sequential=False)
-    else:
+    with nullcontext() if obs is None else obs.span(
+            "shard-emit", months=len(months)):
         emitted = dispatch.run_stage("shard_emit", payloads,
                                      sequential=False)
     for res in emitted:
@@ -496,6 +529,7 @@ def run_sharded(system: str, months: list[str], out_dir: str, *,
                                           "steps": res["steps_csv"]}
         report.n_jobs += res["n_jobs"]
         report.n_steps += res["n_steps"]
+        report.malformed += res["malformed"]
     manifest_dirs.extend(p["manifest_dir"] for p in payloads
                          if p["manifest_dir"])
 

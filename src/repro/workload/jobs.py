@@ -78,9 +78,3 @@ class JobRequest:
             raise ConfigError(f"unknown job class {self.job_class!r}")
         if self.true_runtime_s < 0:
             raise ConfigError("negative true runtime")
-
-    @property
-    def will_timeout(self) -> bool:
-        """Whether the hidden runtime exceeds the requested limit."""
-        return self.outcome == "COMPLETED" and \
-            self.true_runtime_s > self.timelimit_s

@@ -113,6 +113,3 @@ class UserPopulation:
                 mtask_affinity=float(mtask[i]),
             ))
         return cls(users)
-
-    def failure_rates(self) -> np.ndarray:
-        return np.array([u.failure_rate for u in self.users])

@@ -23,6 +23,7 @@ from repro.frame.io import read_npf
 from repro.pipeline.curate import (JOB_CSV_COLUMNS, STEP_CSV_COLUMNS,
                                    CuratedCsvWriter, curate_records)
 from repro.sched.simulator import SimConfig
+from repro.slurm.emit import RowFaults
 from repro.slurm.records import JOB_STATES, STEP_STATES, JobRecord, StepRecord
 from repro.store import Artifact
 from repro.workflows import shard
@@ -130,11 +131,18 @@ def _read(path) -> bytes:
         return fh.read()
 
 
-def _assert_matches_oracle(records, batch: int, workdir: str) -> dict:
-    """Curate ``records`` both ways and write both; returns the typed
-    path's artifacts by kind."""
-    mine = curate_records(records)
-    ref = oracle_curate_records(records)
+def _assert_matches_oracle(records, batch: int, workdir: str,
+                           rate: float = 0.0, seed: int = 0) -> dict:
+    """Curate ``records`` both ways, each under its own copy of one
+    fault stream, and write both; returns the typed path's artifacts
+    by kind."""
+    faults = RowFaults(rate, np.random.default_rng(seed))
+    ref_faults = RowFaults(rate, np.random.default_rng(seed))
+    mine = curate_records(records, faults)
+    ref = oracle_curate_records(records, ref_faults)
+    assert faults.dropped == ref_faults.dropped
+    assert faults.rng.bit_generator.state == \
+        ref_faults.rng.bit_generator.state
     assert _typed(mine[0]) == _typed(ref[0])
     assert _typed(mine[1]) == _typed(ref[1])
     arts = {}
@@ -159,12 +167,15 @@ def _assert_matches_oracle(records, batch: int, workdir: str) -> dict:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_jobs(), max_size=5), st.integers(1, 4))
-def test_typed_path_matches_text_oracle(records, batch):
+@given(st.lists(_jobs(), max_size=5), st.integers(1, 4),
+       st.sampled_from([0.0, 0.05]), st.integers(0, 2**32))
+def test_typed_path_matches_text_oracle(records, batch, rate, seed):
     """Same row values and types, same CSV bytes, and the same twin
-    bytes as ``write_npf(read_csv(csv))``, for any batching."""
+    bytes as ``write_npf(read_csv(csv))``, for any batching; under a
+    fault stream, the typed path drops exactly the rows the emitter
+    truncates and Curate's parse rejects, with the same draws."""
     with tempfile.TemporaryDirectory() as workdir:
-        _assert_matches_oracle(records, batch, workdir)
+        _assert_matches_oracle(records, batch, workdir, rate, seed)
 
 
 def _edge_records() -> list[JobRecord]:

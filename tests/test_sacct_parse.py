@@ -268,6 +268,17 @@ def test_step_jobid_with_non_decimal_digit_is_kept_as_text(tmp_path):
     assert steps_csv[1].startswith("².0,²,")
 
 
+def test_step_jobid_too_long_for_int_is_malformed(tmp_path):
+    """A parent id with more decimal digits than ``int()`` converts
+    (4,300 by default) passes ``isdecimal()``; it costs its row, not
+    the file."""
+    step = next(r for r in _emitted_rows(_edge_records()) if ".0|" in r)
+    hostile = _with_cell(step, "JobID", "1" * 5000 + ".0")
+    _, report = _curate("\n".join(["|".join(_NAMES), step, hostile])
+                        + "\n", str(tmp_path), "long")
+    assert (report.malformed, report.step_rows) == (1, 1)
+
+
 @pytest.mark.parametrize("field", curate._JOB_ROW_FIELDS)
 def test_header_without_a_job_row_field_is_rejected_up_front(
         tmp_path, monkeypatch, field):

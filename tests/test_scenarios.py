@@ -52,6 +52,7 @@ from repro.sched import (
 )
 from repro.sched.priority import PriorityModel
 from repro.slurm.records import check_job_invariants
+from repro.workflows import SchedulingAnalysisWorkflow, WorkflowConfig
 from repro.workflows.shard import (
     run_sharded,
     simconfig_from_spec,
@@ -350,8 +351,10 @@ def _digest_dir(dirpath):
 
 @pytest.fixture(scope="module")
 def scenario_builds(tmp_path_factory):
-    """The injected two-month timeline built unsharded, sharded on a
-    process pool, and sharded through the durable fabric."""
+    """The injected two-month timeline built by the workflow's Obtain →
+    Curate text stages (its entry holds the WorkflowResult), unsharded,
+    sharded on a process pool, and sharded through the durable
+    fabric."""
     tmp = tmp_path_factory.mktemp("scenario-sharded")
 
     def build(name, shards, procs, fabric=False):
@@ -362,7 +365,15 @@ def scenario_builds(tmp_path_factory):
                              config=CONFIG, fabric_db=fabric_db)
         return report, _digest_dir(os.path.join(out, "data"))
 
-    return {"s1": build("s1", 1, 1),
+    def text_build():
+        out = os.path.join(tmp, "text")
+        result = SchedulingAnalysisWorkflow(WorkflowConfig(
+            system="testsys", months=tuple(MONTHS), workdir=out, seed=7,
+            rate_scale=1.0, enable_ai=False, sim_config=CONFIG)).run()
+        return result, _digest_dir(os.path.join(out, "data"))
+
+    return {"text": text_build(),
+            "s1": build("s1", 1, 1),
             "pool": build("pool", 2, 2),
             "fabric": build("fabric", 2, 2, fabric=True)}
 
@@ -372,10 +383,11 @@ class TestScenarioGolden:
             self, scenario_builds):
         """The acceptance gate: with a fault, a cut-spanning power cap,
         and an elastic window all injected, every curated artifact is
-        byte-for-byte equal across the three execution modes."""
+        byte-for-byte equal across the text stages and the three
+        sharded execution modes."""
         _, d1 = scenario_builds["s1"]
         assert d1
-        for label in ("pool", "fabric"):
+        for label in ("text", "pool", "fabric"):
             _, d = scenario_builds[label]
             assert d == d1, label
 
@@ -391,6 +403,13 @@ class TestScenarioGolden:
         for label in ("pool", "fabric"):
             r, _ = scenario_builds[label]
             assert r.counters == r1.counters, label
+        text, _ = scenario_builds["text"]
+        metrics = text.run_context.metrics
+        for name, key in (("injections", "n_injections"),
+                          ("victims", "n_victims"),
+                          ("shrunk", "n_shrunk")):
+            assert metrics.counter(f"sched.scenario.{name}").value \
+                == r1.counters[key], name
 
     def test_cap_spans_the_cut_and_jobs_carry(self, scenario_builds):
         """The power cap straddles the shard boundary by construction,

@@ -5,7 +5,9 @@ scheduler timeline, cut into shards with
 :class:`~repro.sched.shard.ShardHandoff`, must reproduce the unsharded
 run exactly — same outcomes at the scheduler layer, same curated CSV
 bytes at the workflow layer, for any shard count, process count, or
-dispatch mode.  These tests pin that claim, plus the supporting
+dispatch mode, and the same bytes as the workflow's Obtain → Curate
+text stages, malformed rows included.  These tests pin that claim,
+plus the supporting
 contracts: the handoff's fingerprint/version guards, the in-memory
 curate path (``curate_records``) against the classic
 :class:`CurateStage`, the emit phase's consistency checks, and
@@ -15,6 +17,7 @@ per-shard manifest merging.
 import hashlib
 import json
 import os
+from collections import namedtuple
 
 import pytest
 
@@ -42,6 +45,7 @@ from repro.sched.shard import (
 )
 from repro.sched.simulator import SimConfig
 from repro.slurm.db import AccountingDB
+from repro.workflows import SchedulingAnalysisWorkflow, WorkflowConfig
 from repro.workflows.shard import (
     plan_shards,
     run_emit_month,
@@ -79,6 +83,15 @@ class TestPlanShards:
     def test_uneven_split_rejected(self):
         with pytest.raises(ConfigError):
             plan_shards(["2024-01", "2024-02", "2024-03"], 2)
+
+    def test_workflow_config_checks_the_shard_count(self):
+        """A bad count fails when the workflow is configured, before any
+        task runs, not as a failed task inside the flow."""
+        with pytest.raises(ConfigError, match="do not divide"):
+            WorkflowConfig(months=("2024-01", "2024-02", "2024-03"),
+                           shards=2)
+        with pytest.raises(ConfigError, match="whole month"):
+            WorkflowConfig(months=("2024-01",), shards=2)
 
 
 class TestConfigSpec:
@@ -192,10 +205,21 @@ def _digest_dir(dirpath: str) -> dict[str, str]:
     return out
 
 
+#: far above the paper's rate, so every mode drops rows
+MALFORMED_RATE = 0.01
+
+#: one build: the shard report (None for the text stages), the data/
+#: digests, the rows dropped as malformed, and summary.json's metrics
+#: (None for a bare run_sharded build)
+Build = namedtuple("Build", "report data malformed metrics")
+
+
 @pytest.fixture(scope="module")
 def builds(tmp_path_factory):
-    """The same two months built unsharded, sharded on a process pool,
-    and sharded through the durable fabric."""
+    """The same two months, under one malformed-row rate, built by the
+    workflow's Obtain → Curate text stages, unsharded, by the workflow
+    as two shards on a process pool, and sharded through the durable
+    fabric."""
     tmp = tmp_path_factory.mktemp("sharded")
 
     def build(name, shards, procs, fabric=False):
@@ -203,48 +227,85 @@ def builds(tmp_path_factory):
         fabric_db = os.path.join(tmp, f"{name}.sqlite3") if fabric else None
         report = run_sharded("testsys", MONTHS, out, shards=shards,
                              procs=procs, seed=7, rate_scale=1.0,
-                             config=CONFIG, fabric_db=fabric_db)
-        return report, _digest_dir(os.path.join(out, "data"))
+                             config=CONFIG, fabric_db=fabric_db,
+                             malformed_rate=MALFORMED_RATE)
+        return Build(report, _digest_dir(os.path.join(out, "data")),
+                     report.malformed, None)
 
-    return {"s1": build("s1", 1, 1),
-            "pool": build("pool", 2, 2),
+    def workflow(name, shards, procs):
+        out = os.path.join(tmp, name)
+        result = SchedulingAnalysisWorkflow(WorkflowConfig(
+            system="testsys", months=tuple(MONTHS), workdir=out, seed=7,
+            rate_scale=1.0, enable_ai=False, sim_config=CONFIG,
+            malformed_rate=MALFORMED_RATE, shards=shards,
+            procs=procs)).run()
+        with open(result.manifest["summary"], encoding="utf-8") as fh:
+            metrics = json.load(fh)["metrics"]
+        return Build(result.shard_report,
+                     _digest_dir(os.path.join(out, "data")),
+                     result.curate_malformed, metrics)
+
+    return {"text": workflow("text", 0, 1),
+            "s1": build("s1", 1, 1),
+            "pool": workflow("pool", 2, 2),
             "fabric": build("fabric", 2, 2, fabric=True)}
 
 
 class TestShardedBuildGolden:
     def test_artifacts_bit_identical_across_modes(self, builds):
         """Every data file — CSVs and their hash-keyed .npf twins —
-        must be byte-for-byte equal whether the build ran as one shard
-        inline, two shards on a process pool, or two shards as durable
-        fabric jobs."""
-        _, d1 = builds["s1"]
+        must be byte-for-byte equal whether the build ran through the
+        Obtain → Curate text stages, as one shard inline, as two shards
+        on a process pool, or as two shards as durable fabric jobs."""
+        d1 = builds["s1"].data
         assert d1                       # jobs/steps csv + npf per month
-        for label in ("pool", "fabric"):
-            _, d = builds[label]
-            assert d == d1, label
+        for label in ("text", "pool", "fabric"):
+            assert builds[label].data == d1, label
+
+    def test_malformed_rows_dropped_alike_in_every_mode(self, builds):
+        """The emit phase replays Obtain's fault stream: it drops as
+        many rows as Curate finds truncated in the text."""
+        dropped = {label: b.malformed for label, b in builds.items()}
+        assert len(set(dropped.values())) == 1, dropped
+        assert dropped["text"] > 0
+
+    def test_sched_metrics_agree_across_front_ends(self, builds):
+        """summary.json's scheduler metrics come from the one timeline
+        whether the build curated text (shards=0) or records
+        (shards=2)."""
+        def sched(metrics):
+            return {k: v for k, v in metrics.items()
+                    if k.startswith("sched.")
+                    and not k.startswith("sched.shard.")}
+
+        text = sched(builds["text"].metrics)
+        assert {"sched.passes", "sched.backfill_hits", "sched.preemptions",
+                "sched.jobs", "sched.queue_depth_hwm"} <= set(text)
+        assert text["sched.jobs"] == builds["s1"].report.counters[
+            "n_finished"] > 0
+        assert sched(builds["pool"].metrics) == text
 
     def test_expected_artifact_set(self, builds):
-        _, d1 = builds["s1"]
         expected = {f"{m}-{kind}.{ext}" for m in MONTHS
                     for kind in ("jobs", "steps") for ext in ("csv", "npf")}
-        assert set(d1) == expected
+        assert set(builds["s1"].data) == expected
 
     def test_reports_agree(self, builds):
-        r1, _ = builds["s1"]
+        r1 = builds["s1"].report
         for label in ("pool", "fabric"):
-            r, _ = builds[label]
+            r = builds[label].report
             assert r.counters == r1.counters, label
             assert r.bases == r1.bases, label
             assert (r.n_jobs, r.n_steps) == (r1.n_jobs, r1.n_steps), label
         assert r1.n_jobs > 0 and r1.n_steps > 0
 
     def test_boundary_jobs_carried_across_the_cut(self, builds):
-        r, _ = builds["pool"]
+        r = builds["pool"].report
         assert r.carried_total > 0
         assert r.live_jobs_hwm > 0
 
     def test_merged_manifest_written(self, builds):
-        r, _ = builds["pool"]
+        r = builds["pool"].report
         assert r.manifest_dir
         with open(os.path.join(r.manifest_dir, "summary.json"),
                   encoding="utf-8") as fh:
