@@ -18,7 +18,7 @@ chart construction lives in :mod:`repro.charts`.
 """
 
 from repro.analytics.common import (epoch_to_month, filter_states,
-                                    iter_tables, load_jobs, load_steps)
+                                    load_jobs, load_steps)
 from repro.analytics.volume import VolumeSummary, volume_by_year, volume_by_month
 from repro.analytics.scale import ScaleSummary, nodes_vs_elapsed
 from repro.analytics.waits import WaitSummary, wait_times
@@ -33,7 +33,6 @@ from repro.analytics.federate import FederatedComparison, compare_systems
 __all__ = [
     "epoch_to_month",
     "filter_states",
-    "iter_tables",
     "load_jobs",
     "load_steps",
     "VolumeSummary",

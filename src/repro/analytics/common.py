@@ -1,15 +1,11 @@
 """Shared analytics helpers: loading curated tables, time bucketing.
 
 Loaders accept curated CSVs, their binary ``.npf`` twins, or typed
-:class:`repro.store.Artifact` handles interchangeably; a CSV whose twin
-is hash-valid is served from the twin (no parse, no dtype inference).
-
-At paper scale a year of curated tables is millions of rows, so the
-loaders route through the chunked :func:`repro.store.iter_table_fast`
-reader: ``materialize=False`` yields per-chunk frames (bounded memory —
-what streaming aggregations should consume), while the default
-``materialize=True`` keeps the historical all-in-one :class:`Frame`
-return for the figure pipeline, assembled from the same chunk stream.
+:class:`repro.store.Artifact` handles interchangeably.  Each table is
+read through :func:`repro.store.read_table_fast` (a CSV whose twin is
+hash-valid is served from the twin: no parse, no dtype inference), so a
+loader returns exactly the Frame
+:meth:`repro.store.ArtifactStore.load_frame` returns for the same table.
 """
 
 from __future__ import annotations
@@ -21,65 +17,26 @@ import numpy as np
 from repro._util.errors import DataError
 from repro.frame import Frame, concat
 from repro.slurm.records import JOB_STATES
-from repro.store import iter_table_fast
+from repro.store import read_table_fast
 
-#: chunked-loading contract marker: full-table reads in this module are
-#: lint findings (RL042) unless explicitly suppressed
-__streaming__ = True
-
-__all__ = ["load_jobs", "load_steps", "iter_tables", "epoch_to_month",
-           "epoch_to_year", "filter_states", "iqr_bounds"]
+__all__ = ["load_jobs", "load_steps", "epoch_to_month", "epoch_to_year",
+           "filter_states", "iqr_bounds"]
 
 
-def _as_path_list(paths) -> list:
-    if isinstance(paths, (str, os.PathLike)):
-        return [paths]
-    return list(paths)
-
-
-def iter_tables(paths, chunk_rows: int | None = None):
-    """Stream one or more curated tables as per-chunk frames.
-
-    Chunks arrive in path order; each is at most ``chunk_rows`` rows
-    (reader default when None).  A CSV whose ``.npf`` twin is current
-    streams from the binary's row groups via mmap slicing.
-    """
-    paths = _as_path_list(paths)
-    if not paths:
-        raise DataError("no tables given")
-    kwargs = {} if chunk_rows is None else {"chunk_rows": chunk_rows}
-    for p in paths:
-        yield from iter_table_fast(p, **kwargs)
-
-
-def _load(paths, materialize: bool):
-    paths = _as_path_list(paths)
-    stream = iter_tables(paths)
-    if not materialize:
-        return stream
-    chunks = list(stream)
-    if not chunks:
-        # all tables empty: chunk readers yield nothing, but callers
-        # still expect a schema-bearing empty frame
-        from repro.store import read_table_fast
-        return read_table_fast(paths[0])  # lint: ok[RL042] empty table, one header read
-    return chunks[0] if len(chunks) == 1 else concat(chunks)
-
-
-def load_jobs(paths, materialize: bool = True):
+def load_jobs(paths) -> Frame:
     """Load one or more curated jobs tables (``.csv`` or ``.npf``, path
-    or artifact handle).
+    or artifact handle), concatenated in the order given."""
+    if isinstance(paths, (str, os.PathLike)):
+        paths = [paths]
+    frames = [read_table_fast(p) for p in paths]
+    if not frames:
+        raise DataError("no tables given")
+    return frames[0] if len(frames) == 1 else concat(frames)
 
-    Returns a single concatenated :class:`Frame` by default;
-    ``materialize=False`` returns the bounded-memory chunk iterator
-    instead (the paper-scale path).
-    """
-    return _load(paths, materialize)
 
-
-def load_steps(paths, materialize: bool = True):
+def load_steps(paths) -> Frame:
     """Load one or more curated steps tables (see :func:`load_jobs`)."""
-    return _load(paths, materialize)
+    return load_jobs(paths)
 
 
 def epoch_to_month(epochs: np.ndarray) -> np.ndarray:

@@ -9,32 +9,25 @@ hash the key column.
 
 The API is deliberately tiny but complete for the analytics in this
 repository: ``select/filter/sort/head/assign/group_by/join/concat`` plus
-CSV, pipe-separated, and binary columnar ``.npf`` I/O
-(:mod:`repro.frame.io`).  Paper-scale tables additionally stream:
-``iter_table`` yields bounded chunks, :class:`NpfAppender` grows a
-``.npf`` file one row group at a time, and
-:func:`~repro.frame.stream.stream_group_agg` aggregates a chunk stream
-with spill-to-disk partials (:mod:`repro.frame.stream`).
+CSV and binary columnar ``.npf`` I/O (:mod:`repro.frame.io`).  There is
+one reader per format and one dtype-inference rule (the whole CSV):
+``read_table`` and its chunked form ``iter_table`` return the same
+values, and :class:`NpfAppender` grows a ``.npf`` file one row group at
+a time.
 """
 
 from repro.frame.frame import Frame, GroupBy, concat
 from repro.frame.io import (
     read_csv,
     write_csv,
-    read_pipe,
-    write_pipe,
     read_npf,
     write_npf,
     sniff_npf,
     read_table,
-    sniff_columns,
     iter_npf,
-    iter_csv,
     iter_table,
     NpfAppender,
-    concat_npf,
 )
-from repro.frame.stream import STREAMABLE_AGGS, stream_group_agg
 
 __all__ = [
     "Frame",
@@ -42,18 +35,11 @@ __all__ = [
     "concat",
     "read_csv",
     "write_csv",
-    "read_pipe",
-    "write_pipe",
     "read_npf",
     "write_npf",
     "sniff_npf",
     "read_table",
-    "sniff_columns",
     "iter_npf",
-    "iter_csv",
     "iter_table",
     "NpfAppender",
-    "concat_npf",
-    "STREAMABLE_AGGS",
-    "stream_group_agg",
 ]

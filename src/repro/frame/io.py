@@ -1,12 +1,13 @@
-"""Frame I/O: CSV, Slurm pipe-separated text, and binary columnar ``.npf``.
+"""Frame I/O: CSV text and binary columnar ``.npf``.
 
 The paper's *Curate Data* stage "reformats the dataset from pipe-separated
-text to CSV for compatibility with Python-based analysis libraries"; both
-text shapes are supported here.  Readers infer column dtypes by attempting
-an integer parse, then a float parse, then falling back to strings —
-matching what the analytics layer expects from sacct fields.
+text to CSV for compatibility with Python-based analysis libraries"; the
+CSV reader infers column dtypes by attempting an integer parse, then a
+float parse, then falling back to strings — matching what the analytics
+layer expects from sacct fields.  Inference always sees the whole file,
+so one table has one dtype per column however it is read.
 
-The third format, ``.npf`` ("numpy frame"), is the hot-path companion:
+The second format, ``.npf`` ("numpy frame"), is the hot-path companion:
 a binary columnar layout whose numeric columns are raw little-endian
 numpy buffers, 64-byte aligned so readers can map them straight off disk
 (``read_npf(..., mmap=True)``) with no parsing or dtype inference.
@@ -35,14 +36,17 @@ file, and the full header (per-group column descriptors with absolute
 file offsets) lives in a JSON *footer* whose location is patched into
 the stub on close.  Appending a row group is therefore O(group), never
 a rewrite of existing payload, and reopening an appendable file just
-truncates the footer and continues.  ``read_npf`` / ``iter_npf`` /
-``sniff_npf`` accept both versions transparently.
+truncates the footer and continues.
+
+Readers see one shape: a version-1 file is a single row group at its
+payload base.  Every header field, span and value offset is checked
+against the file before it is used, so a corrupt file raises
+:class:`~repro._util.errors.DataError` and nothing else.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import struct
@@ -53,10 +57,9 @@ import numpy as np
 from repro._util.errors import DataError
 from repro.frame.frame import Frame, concat
 
-__all__ = ["read_csv", "parse_csv_cells", "write_csv", "read_pipe",
-           "write_pipe", "read_npf", "write_npf", "sniff_npf", "read_table",
-           "sniff_columns", "iter_npf", "iter_csv", "iter_table",
-           "NpfAppender", "concat_npf"]
+__all__ = ["read_csv", "parse_csv_cells", "write_csv", "read_npf",
+           "write_npf", "sniff_npf", "read_table", "iter_npf", "iter_table",
+           "NpfAppender"]
 
 
 def _infer_column(values: list[str]) -> np.ndarray:
@@ -141,49 +144,6 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def read_pipe(path: str | os.PathLike, infer: bool = False,
-              strict: bool = True) -> Frame:
-    """Read sacct-style pipe-separated text.
-
-    sacct ``-P`` output is ``|``-separated with a header line.  With
-    ``strict=False`` malformed rows (wrong field count) are silently
-    dropped — the curation stage counts them itself before calling this.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataError(f"empty pipe file: {path}")
-    header = lines[0].split("|")
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        fields = line.split("|")
-        if len(fields) != len(header):
-            if strict:
-                raise DataError(
-                    f"{path}: line {ln} has {len(fields)} fields, "
-                    f"expected {len(header)}")
-            continue
-        rows.append(fields)
-    return _build_frame(header, rows, infer)
-
-
-def write_pipe(frame: Frame, path: str | os.PathLike) -> None:
-    """Write a Frame as sacct-style pipe-separated text."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    buf = io.StringIO()
-    buf.write("|".join(frame.columns) + "\n")
-    cols = [frame[c] for c in frame.columns]
-    for i in range(len(frame)):
-        cells = [_cell(c[i]) for c in cols]
-        for cell in cells:
-            if "|" in cell or "\n" in cell:
-                raise DataError(
-                    f"value {cell!r} cannot be represented in pipe format")
-        buf.write("|".join(cells) + "\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
-
-
 _NPF_MAGIC = b"NPF1"
 _NPF_ALIGN = 64
 _TAG_NONE, _TAG_STR, _TAG_INT, _TAG_FLOAT, _TAG_BOOL = 0, 1, 2, 3, 4
@@ -242,18 +202,22 @@ def _decode_object_column(tags: np.ndarray, offsets: np.ndarray,
     out = np.empty(len(tags), dtype=object)
     for i, tag in enumerate(tags):
         raw = data[offsets[i]:offsets[i + 1]]
-        if tag == _TAG_NONE:
-            out[i] = None
-        elif tag == _TAG_STR:
-            out[i] = raw.decode("utf-8")
-        elif tag == _TAG_INT:
-            out[i] = int(raw)
-        elif tag == _TAG_FLOAT:
-            out[i] = float(raw)
-        elif tag == _TAG_BOOL:
-            out[i] = raw == b"1"
-        else:
-            raise DataError(f"npf: unknown value tag {tag} at row {i}")
+        try:
+            if tag == _TAG_NONE:
+                out[i] = None
+            elif tag == _TAG_STR:
+                out[i] = raw.decode("utf-8")
+            elif tag == _TAG_INT:
+                out[i] = int(raw)
+            elif tag == _TAG_FLOAT:
+                out[i] = float(raw)
+            elif tag == _TAG_BOOL:
+                out[i] = raw == b"1"
+            else:
+                raise DataError(f"npf: unknown value tag {tag} at row {i}")
+        except ValueError as exc:   # bad UTF-8 or number text
+            raise DataError(f"npf: corrupt value at row {i}: {exc}") \
+                from None
     return out
 
 
@@ -285,41 +249,138 @@ def write_npf(frame: Frame, path: str | os.PathLike,
 #: so finalizing can patch the stub in place without moving payload
 _NPF_V2_FRONT = 56
 
+#: dtype kinds a numeric column may hold (bool, int, uint, float, complex)
+_NPF_NUMERIC_KINDS = "biufc"
 
-def _npf_front(fh) -> tuple[dict, int]:
-    """(front header dict, its JSON length) from an open binary file."""
+
+def _npf_json(fh, offset: int, length: int, size: int, what: str) -> dict:
+    """The JSON object stored at ``[offset, offset + length)``."""
+    if offset + length > size:
+        raise DataError(f"npf: truncated {what}")
+    fh.seek(offset)
+    try:
+        value = json.loads(fh.read(length).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
+        raise DataError(f"npf: corrupt {what}: {exc}") from None
+    if not isinstance(value, dict):
+        raise DataError(f"npf: {what} is not a JSON object")
+    return value
+
+
+def _npf_front(fh) -> tuple[dict, int, int]:
+    """(front header dict, its JSON length, file size) from an open
+    binary file."""
+    size = os.fstat(fh.fileno()).st_size
+    fh.seek(0)
     head = fh.read(8)
     if len(head) < 8 or head[:4] != _NPF_MAGIC:
         raise DataError(f"not an npf file: {getattr(fh, 'name', fh)!r}")
     hlen = struct.unpack("<I", head[4:8])[0]
-    raw = fh.read(hlen)
-    if len(raw) != hlen:
-        raise DataError("npf: truncated header")
-    return json.loads(raw.decode("utf-8")), hlen
+    return _npf_json(fh, 8, hlen, size, "header"), hlen, size
 
 
-def _npf_header(fh) -> tuple[dict, int]:
-    """(full header dict, payload base offset) from an open binary file.
+def _field(obj, key: str, kind: type):
+    """``obj[key]``, required to be a ``kind`` (never a bool; ints are
+    non-negative)."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if (not isinstance(value, kind) or isinstance(value, bool)
+            or (kind is int and value < 0)):
+        raise DataError(f"npf: field {key!r} missing or not a "
+                        f"{kind.__name__}")
+    return value
 
-    Version 1 returns the front header itself; version 2 follows the
-    front stub to the footer (its column offsets are absolute, so the
-    payload base is 0).
+
+def _is_span(value) -> bool:
+    """Whether ``value`` is an ``[offset, nbytes]`` pair."""
+    return (isinstance(value, list) and len(value) == 2
+            and all(type(v) is int and v >= 0 for v in value))
+
+
+def _span(desc: dict, key: str, limit: int) -> int:
+    """Byte length of the span ``desc[key]``, which must lie within
+    ``limit`` bytes."""
+    span = desc.get(key)
+    if not _is_span(span):
+        raise DataError(f"npf: column {desc['name']!r} has a bad "
+                        f"{key} span {span!r}")
+    if span[0] + span[1] > limit:
+        raise DataError(f"npf: column {desc['name']!r} {key} runs past "
+                        f"the end of the file")
+    return span[1]
+
+
+def _check_group(group: dict, limit: int, names: list[str]) -> None:
+    """Validate one row group's descriptors against the ``limit`` bytes
+    its spans may address."""
+    nrows = _field(group, "nrows", int)
+    descs = _field(group, "columns", list)
+    if [_field(d, "name", str) for d in descs] != names:
+        raise DataError("npf: a row group's columns differ from the "
+                        "header's")
+    if nrows and not descs:
+        raise DataError("npf: rows without columns")
+    for desc in descs:
+        kind = desc.get("kind")
+        if kind == "numeric":
+            try:
+                dt = np.dtype(_field(desc, "dtype", str))
+            except (TypeError, ValueError):
+                dt = None
+            if dt is None or dt.kind not in _NPF_NUMERIC_KINDS:
+                raise DataError(f"npf: column {desc['name']!r} has bad "
+                                f"dtype {desc['dtype']!r}")
+            count = _span(desc, "data", limit) // dt.itemsize
+        elif kind == "object":
+            _span(desc, "data", limit)
+            count = _span(desc, "tags", limit)
+            if _span(desc, "offsets", limit) != 8 * (count + 1):
+                raise DataError(f"npf: column {desc['name']!r} has "
+                                f"{count} tags but a different number "
+                                f"of offsets")
+        else:
+            raise DataError(f"npf: unknown column kind {kind!r}")
+        if count != nrows:
+            raise DataError(
+                f"npf: column {desc['name']!r} has {count} rows, "
+                f"group says {nrows}")
+
+
+def _npf_header(fh) -> tuple[dict, list[tuple[int, dict]]]:
+    """(full header dict, row groups) from an open binary file, every
+    field and span checked against the file's size.
+
+    Each row group is ``(base, group)``: the group's ``nrows`` and
+    column descriptors, whose spans are relative to ``base``.  A
+    version-1 file is one group at its payload base; a version-2 footer
+    lists its groups with absolute spans (base 0).
     """
-    front, hlen = _npf_front(fh)
+    front, hlen, size = _npf_front(fh)
     version = front.get("version")
     if version == 1:
-        return front, _align_up(8 + hlen)
-    if version == 2:
+        header = front
+        groups = [(_align_up(8 + hlen), front)]
+    elif version == 2:
         span = front.get("footer")
         if not span:
             raise DataError(
                 "npf v2: no footer — the appender was never closed")
-        fh.seek(span[0])
-        raw = fh.read(span[1])
-        if len(raw) != span[1]:
-            raise DataError("npf: truncated footer")
-        return json.loads(raw.decode("utf-8")), 0
-    raise DataError(f"npf: unsupported version {version}")
+        if not _is_span(span):
+            raise DataError(f"npf v2: bad footer span {span!r}")
+        header = _npf_json(fh, span[0], span[1], size, "footer")
+        groups = [(0, g) for g in _field(header, "row_groups", list)]
+    else:
+        raise DataError(f"npf: unsupported version {version}")
+    _field(header, "meta", dict)
+    names = [_field(c, "name", str)
+             for c in _field(header, "columns", list)]
+    nrows = _field(header, "nrows", int)
+    for base, group in groups:
+        _check_group(group, size - base, names)
+    held = sum(group["nrows"] for _, group in groups)
+    if held != nrows:
+        raise DataError(
+            f"npf: row groups hold {held} rows, header says {nrows}")
+    return header, groups
 
 
 def sniff_npf(path: str | os.PathLike) -> dict:
@@ -328,6 +389,33 @@ def sniff_npf(path: str | os.PathLike) -> dict:
     with open(path, "rb") as fh:
         header, _ = _npf_header(fh)
     return header
+
+
+def _decode_rows(payload, base: int, group: dict, a: int, b: int,
+                 copy: bool) -> Frame:
+    """Rows ``[a, b)`` of one checked row group.  ``copy`` gives numeric
+    columns their own memory instead of views over ``payload``."""
+    cols: dict[str, np.ndarray] = {}
+    for desc in group["columns"]:
+        if desc["kind"] == "numeric":
+            dt = np.dtype(desc["dtype"])
+            col = np.frombuffer(payload, dtype=dt, count=b - a,
+                                offset=base + desc["data"][0]
+                                + a * dt.itemsize)
+            cols[desc["name"]] = np.array(col) if copy else col
+            continue
+        tags = np.frombuffer(payload, dtype=np.uint8, count=b - a,
+                             offset=base + desc["tags"][0] + a)
+        offs = np.frombuffer(payload, dtype="<i8", count=b - a + 1,
+                             offset=base + desc["offsets"][0] + 8 * a)
+        lo, hi = int(offs[0]), int(offs[-1])
+        if lo < 0 or hi > desc["data"][1] or (np.diff(offs) < 0).any():
+            raise DataError(f"npf: column {desc['name']!r} has corrupt "
+                            f"value offsets")
+        start = base + desc["data"][0]
+        data = bytes(memoryview(payload)[start + lo:start + hi])
+        cols[desc["name"]] = _decode_object_column(tags, offs - lo, data)
+    return Frame(cols)
 
 
 def read_npf(path: str | os.PathLike, mmap: bool = False) -> Frame:
@@ -339,91 +427,33 @@ def read_npf(path: str | os.PathLike, mmap: bool = False) -> Frame:
     writable arrays.
     """
     with open(path, "rb") as fh:
-        header, base = _npf_header(fh)
+        header, groups = _npf_header(fh)
         if mmap:
             payload: np.ndarray | bytearray = np.memmap(
-                path, dtype=np.uint8, mode="r", offset=base)
+                path, dtype=np.uint8, mode="r")
         else:
-            fh.seek(base)
+            fh.seek(0)
             payload = bytearray(fh.read())
-
-    if "row_groups" in header:      # version 2: decode and stack groups
-        frames = [Frame(_decode_columns(payload, g["columns"], g["nrows"]))
-                  for g in header["row_groups"]]
-        frame = concat(frames) if frames else Frame(
-            {c["name"]: np.array([], dtype=object)
-             for c in header.get("columns", [])})
-        if len(frame) != header["nrows"]:
-            raise DataError(
-                f"npf: row groups hold {len(frame)} rows, "
-                f"footer says {header['nrows']}")
-        return frame
-
-    n = header["nrows"]
-    cols = _decode_columns(payload, header["columns"], n)
-    frame = Frame(cols)
-    if not cols and n:
-        raise DataError("npf: rows without columns")
-    return frame
+    frames = [_decode_rows(payload, base, group, 0, group["nrows"], False)
+              for base, group in groups]
+    if not frames:                      # a version-2 file with no groups
+        return Frame({c["name"]: np.array([], dtype=object)
+                      for c in header["columns"]})
+    return frames[0] if len(frames) == 1 else concat(frames)
 
 
-def _decode_columns(payload, descriptors: list[dict],
-                    nrows: int) -> dict[str, np.ndarray]:
-    """Decode column descriptors against a payload buffer."""
-
-    def arr(span: list[int], dtype) -> np.ndarray:
-        off, nbytes = span
-        dt = np.dtype(dtype)
-        return np.frombuffer(payload, dtype=dt,
-                             count=nbytes // dt.itemsize, offset=off)
-
-    def raw(span: list[int]) -> bytes:
-        off, nbytes = span
-        return bytes(memoryview(payload)[off:off + nbytes])
-
-    cols: dict[str, np.ndarray] = {}
-    for desc in descriptors:
-        if desc["kind"] == "numeric":
-            col = arr(desc["data"], desc["dtype"])
-        elif desc["kind"] == "object":
-            col = _decode_object_column(arr(desc["tags"], np.uint8),
-                                        arr(desc["offsets"], "<i8"),
-                                        raw(desc["data"]))
-        else:
-            raise DataError(f"npf: unknown column kind {desc['kind']!r}")
-        if len(col) != nrows:
-            raise DataError(
-                f"npf: column {desc['name']!r} has {len(col)} rows, "
-                f"group says {nrows}")
-        cols[desc["name"]] = col
-    return cols
+def _table_ext(path: str) -> str:
+    ext = os.path.splitext(path)[1].lower()
+    if ext not in (".csv", ".npf"):
+        raise DataError(f"not a table (want .csv or .npf): {path}")
+    return ext
 
 
-def read_table(path: str | os.PathLike, infer: bool = True) -> Frame:
-    """Read a tabular artifact, dispatching on its extension:
-    ``.npf`` binary, ``.csv`` text, anything else sacct pipe text."""
+def read_table(path: str | os.PathLike) -> Frame:
+    """Read a tabular artifact, dispatching on its extension: ``.npf``
+    binary or ``.csv`` text."""
     p = os.fspath(path)
-    ext = os.path.splitext(p)[1].lower()
-    if ext == ".npf":
-        return read_npf(p)
-    if ext == ".csv":
-        return read_csv(p, infer=infer)
-    return read_pipe(p, infer=infer, strict=False)
-
-
-def sniff_columns(path: str | os.PathLike) -> list[str]:
-    """Return the header columns of a CSV, pipe, or npf file without
-    loading it."""
-    with open(path, "rb") as bfh:
-        if bfh.read(4) == _NPF_MAGIC:
-            return [c["name"] for c in sniff_npf(path)["columns"]]
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-    if not first:
-        raise DataError(f"empty file: {path}")
-    if "|" in first:
-        return first.split("|")
-    return next(csv.reader([first]))
+    return read_npf(p) if _table_ext(p) == ".npf" else read_csv(p)
 
 
 # -- streaming iteration and appendable output ----------------------------------
@@ -509,28 +539,26 @@ class NpfAppender:
 
     def _resume(self, meta: dict | None) -> None:
         self._fh = open(self.path, "r+b")
-        front, _ = _npf_front(self._fh)
+        front, _, _ = _npf_front(self._fh)
         if front.get("version") != 2:
             raise DataError(
                 f"cannot append to non-appendable npf {self.path!r} "
                 f"(version {front.get('version')})")
-        span = front.get("footer")
-        if not span:
+        if not front.get("footer"):
             raise DataError(
                 f"npf v2 {self.path!r} was never finalized; refusing "
                 f"to resume an interrupted append")
-        self._fh.seek(span[0])
-        footer = json.loads(self._fh.read(span[1]).decode("utf-8"))
+        footer, _ = _npf_header(self._fh)
         self._groups = list(footer["row_groups"])
         self._nrows = footer["nrows"]
         if self._groups:
             self._names = [c["name"]
                            for c in self._groups[0]["columns"]]
-        merged = dict(footer.get("meta", {}))
+        merged = dict(footer["meta"])
         merged.update(meta or {})
         self.meta = merged
-        self._fh.truncate(span[0])
-        self._end = span[0]
+        self._end = front["footer"][0]
+        self._fh.truncate(self._end)
 
     @property
     def nrows(self) -> int:
@@ -558,7 +586,7 @@ class NpfAppender:
         self._end = end
 
     def _summary_columns(self) -> list[dict]:
-        """Unified per-column summary for ``sniff_npf``/``sniff_columns``:
+        """Unified per-column summary for ``sniff_npf``:
         numeric when every group stored the column numerically (with the
         promoted dtype), object otherwise."""
         out = []
@@ -599,120 +627,37 @@ class NpfAppender:
 def iter_npf(path: str | os.PathLike, chunk_rows: int = DEFAULT_CHUNK_ROWS):
     """Yield a ``.npf`` file as Frames of at most ``chunk_rows`` rows.
 
-    Version-1 files are sliced straight out of a memory map — a chunk
-    touches only its own byte ranges, so peak memory is O(chunk), not
-    O(file).  Version-2 files decode one row group at a time.  Yielded
-    chunks own their data (safe to keep after the iterator advances).
+    Every row group is sliced chunk by chunk straight out of a memory
+    map — a chunk touches only its own byte ranges, so peak memory is
+    O(chunk), not O(file).  Yielded chunks own their data (safe to keep
+    after the iterator advances).
     """
     if chunk_rows <= 0:
         raise DataError(f"chunk_rows must be positive, got {chunk_rows}")
     with open(path, "rb") as fh:
-        header, base = _npf_header(fh)
-    if not header["nrows"]:
-        return
+        _, groups = _npf_header(fh)
     mm = np.memmap(path, dtype=np.uint8, mode="r")
-
-    if "row_groups" in header:          # version 2: group at a time
-        for group in header["row_groups"]:
-            cols = _decode_columns(mm, group["columns"], group["nrows"])
-            for a in range(0, group["nrows"], chunk_rows):
-                b = min(a + chunk_rows, group["nrows"])
-                yield Frame({k: v[a:b] for k, v in cols.items()})
-        return
-
-    n = header["nrows"]
-    for a in range(0, n, chunk_rows):
-        b = min(a + chunk_rows, n)
-        cols: dict[str, np.ndarray] = {}
-        for desc in header["columns"]:
-            if desc["kind"] == "numeric":
-                dt = np.dtype(desc["dtype"])
-                off = base + desc["data"][0] + a * dt.itemsize
-                cols[desc["name"]] = np.array(np.frombuffer(
-                    mm, dtype=dt, count=b - a, offset=off))
-            else:
-                tags = np.frombuffer(mm, dtype=np.uint8, count=b - a,
-                                     offset=base + desc["tags"][0] + a)
-                offs = np.frombuffer(
-                    mm, dtype="<i8", count=b - a + 1,
-                    offset=base + desc["offsets"][0] + a * 8)
-                dbase = base + desc["data"][0]
-                data = bytes(memoryview(mm)[dbase + int(offs[0]):
-                                            dbase + int(offs[-1])])
-                cols[desc["name"]] = _decode_object_column(
-                    tags, offs - offs[0], data)
-        yield Frame(cols)
+    for base, group in groups:
+        n = group["nrows"]
+        for a in range(0, n, chunk_rows):
+            yield _decode_rows(mm, base, group, a, min(a + chunk_rows, n),
+                               True)
 
 
-def _iter_rows(header: list[str], row_iter, chunk_rows: int, infer: bool):
-    chunk: list[list[str]] = []
-    for row in row_iter:
-        chunk.append(row)
-        if len(chunk) >= chunk_rows:
-            yield _build_frame(header, chunk, infer)
-            chunk = []
-    if chunk:
-        yield _build_frame(header, chunk, infer)
+def iter_table(path: str | os.PathLike,
+               chunk_rows: int = DEFAULT_CHUNK_ROWS):
+    """Chunked :func:`read_table`: yield Frames of at most
+    ``chunk_rows`` rows whose concatenation is ``read_table(path)``.
 
-
-def iter_csv(path: str | os.PathLike, chunk_rows: int = DEFAULT_CHUNK_ROWS,
-             infer: bool = True):
-    """Yield a CSV as Frames of at most ``chunk_rows`` rows.
-
-    Dtype inference runs **per chunk** — a column that is all-integer in
-    one chunk and mixed in another comes back with differing dtypes
-    across chunks.  Decomposable aggregation (``stream_group_agg``) is
-    insensitive to this; callers that need whole-file inference should
-    materialize via :func:`read_csv` instead.
+    A ``.npf`` streams through :func:`iter_npf`; a ``.csv`` is parsed
+    whole first (dtype inference sees the whole file) and sliced.
     """
     if chunk_rows <= 0:
         raise DataError(f"chunk_rows must be positive, got {chunk_rows}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty CSV file: {path}") from None
-        yield from _iter_rows(header, reader, chunk_rows, infer)
-
-
-def iter_table(path: str | os.PathLike, chunk_rows: int = DEFAULT_CHUNK_ROWS,
-               infer: bool = True):
-    """Chunked counterpart of :func:`read_table`: yield Frames of at
-    most ``chunk_rows`` rows, dispatching on extension (``.npf`` binary,
-    ``.csv`` text, anything else sacct pipe text)."""
     p = os.fspath(path)
-    ext = os.path.splitext(p)[1].lower()
-    if ext == ".npf":
+    if _table_ext(p) == ".npf":
         yield from iter_npf(p, chunk_rows)
         return
-    if ext == ".csv":
-        yield from iter_csv(p, chunk_rows, infer=infer)
-        return
-    with open(p, encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            raise DataError(f"empty pipe file: {p}")
-        header = first.rstrip("\n").split("|")
-        rows = (fields for line in fh
-                if line.strip()
-                and len(fields := line.rstrip("\n").split("|"))
-                == len(header))
-        yield from _iter_rows(header, rows, chunk_rows, infer)
-
-
-def concat_npf(paths: Sequence[str | os.PathLike],
-               out_path: str | os.PathLike,
-               meta: dict | None = None,
-               chunk_rows: int = DEFAULT_CHUNK_ROWS) -> int:
-    """Concatenate tabular files into one appendable ``.npf``.
-
-    Streams ``chunk_rows`` at a time through :func:`iter_table` into an
-    :class:`NpfAppender`, so merging a year of shard outputs never
-    materializes more than one chunk.  Returns the total row count.
-    """
-    with NpfAppender(out_path, meta=meta) as app:
-        for path in paths:
-            for chunk in iter_table(path, chunk_rows):
-                app.append(chunk)
-        return app.nrows
+    frame = read_csv(p)
+    for a in range(0, len(frame), chunk_rows):
+        yield Frame({c: frame[c][a:a + chunk_rows] for c in frame.columns})

@@ -11,7 +11,6 @@ RL032    ``counter``/``gauge`` name missing from the taxonomy
 RL033    metric used as the wrong kind
 RL034    registry entry nothing emits (complete scans only)
 RL041    raw ``.csv``/``.npf`` path literal instead of a handle
-RL042    full-table read in a streaming-designated module
 RL051    bare ``except:``
 RL052    broad exception silently swallowed
 RL053    405 built without an ``Allow`` header (serve only)
@@ -23,7 +22,7 @@ rationale and docs/extending.md for how to write a new rule.
 
 from __future__ import annotations
 
-from repro.lint.rules.artifacts import ArtifactPathRule, StreamingReadRule
+from repro.lint.rules.artifacts import ArtifactPathRule
 from repro.lint.rules.determinism import (
     SaltedHashRule,
     SetIterationRule,
@@ -61,7 +60,6 @@ def all_rules() -> list:
         LockDisciplineRule(),
         TaxonomyRule(),
         ArtifactPathRule(),
-        StreamingReadRule(),
         BareExceptRule(),
         SwallowedExceptionRule(),
         Unallowed405Rule(),

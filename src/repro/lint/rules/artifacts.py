@@ -10,22 +10,15 @@ literal ending in ``.csv``/``.npf`` in those packages is a finding.
 
 The bare extension tokens (``".csv"``) used for ``endswith`` checks and
 format tables are exempt, as are docstrings.
-
-RL042 guards the paper-scale streaming contract: an analytics module
-that declares ``__streaming__ = True`` has committed to bounded-memory
-chunked loading (:func:`repro.store.iter_table_fast`); a full-table
-``read_table``/``read_table_fast`` call there silently reintroduces the
-O(year) materialization the shard pipeline exists to avoid.  Known-small
-reads carry an inline ``# lint: ok[RL042] reason`` waiver.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.engine import FileContext, Rule, attr_chain
+from repro.lint.engine import FileContext, Rule
 
-__all__ = ["ArtifactPathRule", "StreamingReadRule"]
+__all__ = ["ArtifactPathRule"]
 
 _EXTENSIONS = (".csv", ".npf")
 
@@ -52,43 +45,3 @@ class ArtifactPathRule(Rule):
                    "Artifact.in_dir) so the format owns the extension "
                    "and the layout")
 
-
-class StreamingReadRule(Rule):
-    """RL042: full-table read in a streaming-designated module."""
-
-    id = "RL042"
-    title = "full-table read in a streaming module"
-    node_types = (ast.Call,)
-    dirs = ("analytics",)
-
-    _READERS = ("read_table", "read_table_fast")
-
-    @staticmethod
-    def _streaming_module(ctx: FileContext) -> bool:
-        """Whether the module declares ``__streaming__ = True`` at top
-        level (cached on the context: one scan per file)."""
-        flag = getattr(ctx, "_rl042_streaming", None)
-        if flag is None:
-            flag = False
-            for stmt in ctx.tree.body:
-                if isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        if (isinstance(target, ast.Name)
-                                and target.id == "__streaming__"):
-                            flag = (isinstance(stmt.value, ast.Constant)
-                                    and bool(stmt.value.value))
-            ctx._rl042_streaming = flag
-        return flag
-
-    def visit(self, node: ast.Call, ctx: FileContext) -> None:
-        chain = attr_chain(node.func)
-        if not chain or chain[-1] not in self._READERS:
-            return
-        if not self._streaming_module(ctx):
-            return
-        ctx.report(self.id, node,
-                   f"full-table {chain[-1]}() in a module that declares "
-                   "__streaming__ = True; route through iter_table_fast "
-                   "(or load_jobs/load_steps with materialize=False) so "
-                   "memory stays bounded at paper scale, or waive a "
-                   "known-small read inline")

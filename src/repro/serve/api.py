@@ -619,12 +619,15 @@ class ServeApp:
     def _stream_jsonl(self, request: Request, name: str,
                       path: str) -> Response:
         """Row-streamed table conversion: one JSON object per line,
-        produced chunk-by-chunk off :func:`repro.frame.io.iter_table`
-        so an 18M-row table never lives in memory whole."""
+        produced chunk-by-chunk off :func:`repro.frame.io.iter_table`.
+        A CSV streams from its current ``.npf`` twin (as ``?format=npf``
+        resolves it), so a paper-scale table never lives in memory
+        whole and the rows hold the values ``?format=json`` serves."""
         sha = self.hashes.sha256(path)
 
         def generate():
-            for frame in iter_table(path, chunk_rows=4096):
+            source = resolve_table_path(path, hash_cache=self.hashes)
+            for frame in iter_table(source, chunk_rows=4096):
                 columns = frame.to_dict()
                 names = list(columns)
                 lines = []

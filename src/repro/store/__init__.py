@@ -6,7 +6,11 @@ references*; this package makes those references first-class.  An
 that still walks and quacks like a path (``os.PathLike``), and an
 :class:`ArtifactStore` owns the run root's layout, the in-run frame
 memo, ``.npf``-twin format negotiation, and the hash-based freshness
-stamps the flow engine uses for task caching.  The streaming SHA-256 in
+stamps the flow engine uses for task caching.  :func:`read_table_fast`
+and :meth:`ArtifactStore.load_frame` are the two ways to load a curated
+table, and both return the Frame ``read_csv`` gives for the CSV: a twin
+is used only while it records the CSV's current hash, and a stale or
+corrupt twin falls back to the text parse.  The streaming SHA-256 in
 :mod:`repro.store.hashing` is the one implementation the provenance
 ledger shares.
 """
@@ -17,7 +21,6 @@ from repro.store.store import (
     LAYOUT,
     ArtifactStore,
     read_table_fast,
-    iter_table_fast,
     resolve_table_path,
 )
 
@@ -30,6 +33,5 @@ __all__ = [
     "default_hash_cache",
     "file_sha256",
     "read_table_fast",
-    "iter_table_fast",
     "resolve_table_path",
 ]

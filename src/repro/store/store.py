@@ -11,7 +11,8 @@ the string-path plumbing it replaces could not:
   safe under the flow engine's worker pool;
 - **format negotiation** — a CSV whose ``.npf`` twin carries a matching
   ``source_sha256`` is transparently served from the binary twin
-  (:func:`read_table_fast` gives the same behaviour store-free);
+  (:func:`read_table_fast` gives the same behaviour store-free, so both
+  return exactly the Frame ``read_csv`` would);
 - **content-addressed freshness stamps** — :meth:`record_stamp` /
   :meth:`task_is_fresh` let the flow engine skip a cached task because
   its input *content* is unchanged, not merely because mtimes happen to
@@ -26,12 +27,11 @@ import threading
 
 from repro._util.errors import ConfigError, DataError
 from repro.frame import Frame
-from repro.frame.io import DEFAULT_CHUNK_ROWS, iter_table, read_table, sniff_npf
+from repro.frame.io import read_table, sniff_npf
 from repro.store.artifact import FORMATS, Artifact
 from repro.store.hashing import HashCache, default_hash_cache
 
-__all__ = ["ArtifactStore", "read_table_fast", "iter_table_fast",
-           "resolve_table_path"]
+__all__ = ["ArtifactStore", "read_table_fast", "resolve_table_path"]
 
 #: default subdirectory per format (the workflow's historical layout)
 LAYOUT = {
@@ -48,18 +48,18 @@ _STAMP_DIR = ".store"
 _STAMP_FILE = "stamps.json"
 
 
-def resolve_table_path(path: str | os.PathLike, infer: bool = True,
+def resolve_table_path(path: str | os.PathLike,
                        hash_cache: HashCache | None = None) -> str:
     """The cheapest valid source for a tabular artifact.
 
     For a ``.csv`` whose sibling ``.npf`` twin exists and whose header
-    records the CSV's current SHA-256 (and the same inference mode),
-    return the twin; otherwise the path unchanged.  A stale or absent
+    records the CSV's current SHA-256 (and whole-file inference), return
+    the twin; otherwise the path unchanged.  A stale, absent or corrupt
     twin silently falls back to the text parse — correctness never
     depends on the binary cache.
     """
     p = os.fspath(path)
-    if not (infer and p.endswith(".csv")):
+    if not p.endswith(".csv"):
         return p
     twin = p[:-4] + FORMATS["npf"]
     if not (os.path.exists(twin) and os.path.exists(p)):
@@ -80,25 +80,11 @@ def resolve_table_path(path: str | os.PathLike, infer: bool = True,
     return p
 
 
-def read_table_fast(path: str | os.PathLike, infer: bool = True,
+def read_table_fast(path: str | os.PathLike,
                     hash_cache: HashCache | None = None) -> Frame:
     """:func:`repro.frame.io.read_table` with transparent ``.npf``-twin
     negotiation.  Accepts either format directly."""
-    return read_table(resolve_table_path(path, infer=infer,
-                                         hash_cache=hash_cache),
-                      infer=infer)
-
-
-def iter_table_fast(path: str | os.PathLike,
-                    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                    infer: bool = True,
-                    hash_cache: HashCache | None = None):
-    """:func:`repro.frame.io.iter_table` with transparent ``.npf``-twin
-    negotiation: a CSV whose twin is current streams from the binary,
-    so chunked analytics get mmap slicing instead of text parsing."""
-    yield from iter_table(resolve_table_path(path, infer=infer,
-                                             hash_cache=hash_cache),
-                          chunk_rows=chunk_rows, infer=infer)
+    return read_table(resolve_table_path(path, hash_cache=hash_cache))
 
 
 class _PendingFrame:
@@ -173,8 +159,7 @@ class ArtifactStore:
         if self.obs is not None:
             self.obs.counter(name).inc()
 
-    def load_frame(self, artifact: Artifact | str | os.PathLike,
-                   infer: bool = True) -> Frame:
+    def load_frame(self, artifact: Artifact | str | os.PathLike) -> Frame:
         """Load a tabular artifact, once per content per run.
 
         Concurrent callers for the same table block on the first load
@@ -182,10 +167,9 @@ class ArtifactStore:
         documents).  The memo key includes the file's stat identity, so
         a rewrite between tasks is picked up, never served stale.
         """
-        path = resolve_table_path(artifact, infer=infer,
-                                  hash_cache=self.hashes)
+        path = resolve_table_path(artifact, hash_cache=self.hashes)
         st = os.stat(path)
-        key = (path, st.st_size, st.st_mtime_ns, infer)
+        key = (path, st.st_size, st.st_mtime_ns)
         with self._frame_lock:
             entry = self._frames.get(key)
             owner = entry is None
@@ -198,7 +182,7 @@ class ArtifactStore:
                 raise entry.error
             return entry.frame
         try:
-            entry.frame = read_table(path, infer=infer)
+            entry.frame = read_table(path)
         except BaseException as exc:
             entry.error = exc
             with self._frame_lock:      # failed loads are retryable

@@ -1,4 +1,4 @@
-"""Tests for Frame CSV / pipe-separated / binary ``.npf`` I/O."""
+"""Tests for Frame CSV and binary ``.npf`` I/O."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,13 @@ import pytest
 from repro._util.errors import DataError
 from repro.frame import (
     Frame,
+    iter_table,
     read_csv,
     read_npf,
-    read_pipe,
     read_table,
-    sniff_columns,
     sniff_npf,
     write_csv,
     write_npf,
-    write_pipe,
 )
 
 
@@ -88,42 +86,6 @@ class TestCsv:
         assert path.exists()
 
 
-class TestPipe:
-    def test_round_trip(self, tmp_path, frame):
-        path = tmp_path / "out.txt"
-        write_pipe(frame, path)
-        back = read_pipe(path, infer=True)
-        assert back["User"].tolist() == ["ada", "bob"]
-
-    def test_header_is_pipe_separated(self, tmp_path, frame):
-        path = tmp_path / "out.txt"
-        write_pipe(frame, path)
-        assert path.read_text().splitlines()[0] == "JobID|User|Elapsed|NNodes"
-
-    def test_malformed_rows_strict(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("a|b\n1|2\n3\n")
-        with pytest.raises(DataError, match="line 3"):
-            read_pipe(path, strict=True)
-
-    def test_malformed_rows_dropped_lenient(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("a|b\n1|2\ncorrupt-row\n3|4\n")
-        f = read_pipe(path, strict=False, infer=True)
-        assert f["a"].tolist() == [1, 3]
-
-    def test_pipe_in_value_rejected_on_write(self, tmp_path):
-        f = Frame({"c": ["has|pipe"]})
-        with pytest.raises(DataError):
-            write_pipe(f, tmp_path / "x.txt")
-
-    def test_empty_rejected(self, tmp_path):
-        path = tmp_path / "empty.txt"
-        path.write_text("")
-        with pytest.raises(DataError):
-            read_pipe(path)
-
-
 class TestNpf:
     def test_round_trip_numeric_dtypes(self, tmp_path):
         f = Frame({
@@ -194,7 +156,6 @@ class TestNpf:
         assert head["nrows"] == 2
         assert head["meta"] == {"source": "x.csv"}
         assert [c["name"] for c in head["columns"]] == frame.columns
-        assert sniff_columns(path) == frame.columns
 
     def test_unsupported_object_type_rejected(self, tmp_path):
         col = np.empty(1, dtype=object)
@@ -253,27 +214,16 @@ class TestCrossFormat:
 
     def test_read_table_dispatches(self, tmp_path, frame):
         csv_path, npf_path = tmp_path / "t.csv", tmp_path / "t.npf"
-        pipe_path = tmp_path / "t.txt"
         write_csv(frame, csv_path)
         write_npf(read_csv(csv_path), npf_path)
-        write_pipe(frame, pipe_path)
         assert read_table(csv_path) == read_table(npf_path)
-        assert read_table(pipe_path)["User"].tolist() == ["ada", "bob"]
 
-
-class TestSniff:
-    def test_sniff_pipe(self, tmp_path):
-        path = tmp_path / "x.txt"
-        path.write_text("a|b|c\n1|2|3\n")
-        assert sniff_columns(path) == ["a", "b", "c"]
-
-    def test_sniff_csv(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        assert sniff_columns(path) == ["a", "b", "c"]
-
-    def test_sniff_empty(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("")
-        with pytest.raises(DataError):
-            sniff_columns(path)
+    def test_read_table_rejects_other_extensions(self, tmp_path):
+        """Only ``.csv`` and ``.npf`` are tables; sacct pipe text goes
+        through the Curate stage, not a Frame reader."""
+        path = tmp_path / "t.txt"
+        path.write_text("JobID|User\n1|ada\n")
+        with pytest.raises(DataError, match="want .csv or .npf"):
+            read_table(path)
+        with pytest.raises(DataError, match="want .csv or .npf"):
+            list(iter_table(path))

@@ -1,28 +1,23 @@
-"""Streaming frame primitives behind the paper-scale pipeline.
+"""Chunked frame primitives behind the paper-scale pipeline.
 
-Covers the chunked readers (``iter_npf`` / ``iter_csv`` / ``iter_table``),
-the appendable version-2 ``.npf`` writer the shard spools rely on
-(fresh files, resume-after-finalize, schema pinning), bounded-memory
-grouped aggregation (``stream_group_agg``, including the spill path),
-and the analytics loaders' ``materialize=`` escape hatch.
+Covers the chunked readers (``iter_npf`` / ``iter_table``), the
+appendable version-2 ``.npf`` writer the shard spools rely on (fresh
+files, resume-after-finalize, schema pinning), and the analytics
+loaders.
 """
-
-import os
 
 import numpy as np
 import pytest
 
 from repro._util.errors import DataError
-from repro.analytics import iter_tables, load_jobs
+from repro.analytics import load_jobs
 from repro.frame import (
     Frame,
     NpfAppender,
     concat,
-    iter_csv,
     iter_npf,
     iter_table,
     read_npf,
-    stream_group_agg,
     write_csv,
     write_npf,
 )
@@ -80,7 +75,7 @@ class TestIterCsv:
         frame = sample(120)
         path = str(tmp_path / "t.csv")
         write_csv(frame, path)
-        chunks = list(iter_csv(path, chunk_rows=50))
+        chunks = list(iter_table(path, chunk_rows=50))
         assert [len(c) for c in chunks] == [50, 50, 20]
         assert columns_equal(concat(chunks), frame)
 
@@ -88,7 +83,7 @@ class TestIterCsv:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(DataError):
-            list(iter_csv(str(path)))
+            list(iter_table(str(path)))
 
     def test_iter_table_dispatches_on_extension(self, tmp_path):
         frame = sample(30)
@@ -164,43 +159,6 @@ class TestNpfAppender:
             NpfAppender(path)
 
 
-class TestStreamGroupAgg:
-    SPECS = {"n": ("nodes", "count"), "total": ("nodes", "sum"),
-             "avg": ("wait", "mean"), "widest": ("nodes", "max")}
-
-    def chunked(self, frame: Frame, size: int):
-        for a in range(0, len(frame), size):
-            b = min(a + size, len(frame))
-            yield Frame({c: frame[c][a:b] for c in frame.columns})
-
-    def assert_matches_reference(self, got: Frame, frame: Frame) -> None:
-        ref = frame.group_by("user").agg(**self.SPECS)
-        assert got.columns == ref.columns
-        for c in ("user", "n", "total", "widest"):
-            assert got[c].tolist() == ref[c].tolist()
-        # decomposed mean accumulates in chunk order; equal to the
-        # in-memory pairwise sum only up to float round-off
-        np.testing.assert_allclose(got["avg"], ref["avg"], rtol=1e-12)
-
-    def test_matches_in_memory_groupby(self):
-        frame = sample(1000)
-        got = stream_group_agg(self.chunked(frame, 77), "user", self.SPECS)
-        self.assert_matches_reference(got, frame)
-
-    def test_spill_path_matches(self, tmp_path):
-        frame = sample(1000)
-        got = stream_group_agg(self.chunked(frame, 77), "user", self.SPECS,
-                               max_groups_in_mem=2,
-                               tmp_dir=str(tmp_path))
-        self.assert_matches_reference(got, frame)
-        assert not os.listdir(tmp_path)      # spill runs cleaned up
-
-    def test_non_streamable_agg_rejected(self):
-        with pytest.raises(DataError):
-            stream_group_agg(self.chunked(sample(10), 5), "user",
-                             {"m": ("wait", "median")})
-
-
 class TestAnalyticsLoaders:
     def test_materialize_default_returns_frame(self, tmp_path):
         frame = sample(40)
@@ -210,14 +168,6 @@ class TestAnalyticsLoaders:
         assert isinstance(got, Frame)
         assert columns_equal(got, frame)
 
-    def test_streaming_escape_hatch(self, tmp_path):
-        frame = sample(40)
-        path = str(tmp_path / "jobs.csv")
-        write_csv(frame, path)
-        stream = load_jobs(path, materialize=False)
-        assert not isinstance(stream, Frame)
-        assert columns_equal(concat(list(stream)), frame)
-
     def test_multiple_paths_concatenate_in_order(self, tmp_path):
         a, b = sample(10), sample(10, offset=10)
         pa, pb = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -226,13 +176,6 @@ class TestAnalyticsLoaders:
         got = load_jobs([pa, pb])
         assert columns_equal(got, concat([a, b]))
 
-    def test_iter_tables_bounds_chunks(self, tmp_path):
-        path = str(tmp_path / "jobs.csv")
-        write_csv(sample(100), path)
-        chunks = list(iter_tables([path], chunk_rows=30))
-        assert max(len(c) for c in chunks) <= 30
-        assert sum(len(c) for c in chunks) == 100
-
     def test_no_paths_is_error(self):
         with pytest.raises(DataError):
-            list(iter_tables([]))
+            load_jobs([])

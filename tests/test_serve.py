@@ -622,6 +622,38 @@ class TestEndpoints:
         assert "repro_serve_http_status_2xx_total" in text
 
 
+
+class TestArtifactJsonl:
+    def test_jsonl_rows_equal_json_columns(self, tmp_path):
+        """jsonl streams the twin, so a column empty for the first 4,096
+        rows (one stream chunk) keeps the values ``?format=json`` reads;
+        the ETag still names the CSV's content."""
+        from repro.pipeline.curate import CuratedCsvWriter
+        from repro.store import ArtifactStore
+
+        art = ArtifactStore(str(tmp_path)).declare(
+            "2024-01-jobs", "csv", schema=["JobID", "User", "Comment"])
+        with CuratedCsvWriter(art) as writer:
+            writer.write_rows({"JobID": 1000 + i, "User": f"u{i % 5}",
+                               "Comment": f"c{i}" if i >= 4096 else ""}
+                              for i in range(4200))
+        app = ServeApp([str(tmp_path)], job_workers=1, job_capacity=1)
+        try:
+            resp = get(app, "/api/artifacts/2024-01-jobs",
+                       query={"format": "jsonl"})
+            assert resp.status == 200
+            sha = app.hashes.sha256(art.path)
+            assert resp.headers["ETag"] == f'"{sha}-jsonl"'
+            rows = [json.loads(line)
+                    for line in resp.body.decode().splitlines()]
+            columns = body_json(get(app, "/api/artifacts/2024-01-jobs",
+                                    query={"format": "json"}))["columns"]
+        finally:
+            app.close()
+        assert len(rows) == 4200
+        assert rows[0]["Comment"] == ""
+        assert {c: [r[c] for r in rows] for c in columns} == columns
+
 class TestBackpressure:
     def test_queue_full_maps_to_429(self, served_workdir):
         app = ServeApp([served_workdir], job_workers=1, job_capacity=1)

@@ -101,12 +101,6 @@ class TestFormatNegotiation:
         assert resolve_table_path(csv_path) == csv_path
         assert read_table_fast(csv_path)["User"].tolist() == ["eve"]
 
-    def test_infer_false_never_negotiates(self, tmp_path, frame):
-        csv_path = str(tmp_path / "t.csv")
-        write_csv(frame, csv_path)
-        _write_twin(csv_path)
-        assert resolve_table_path(csv_path, infer=False) == csv_path
-
     def test_corrupt_twin_falls_back(self, tmp_path, frame):
         csv_path = str(tmp_path / "t.csv")
         write_csv(frame, csv_path)
@@ -125,11 +119,11 @@ class TestFrameMemo:
         import repro.store.store as store_mod
         real = store_mod.read_table
 
-        def counting(path, infer=True):
+        def counting(path):
             calls.append(path)
             if delay:
                 threading.Event().wait(delay)
-            return real(path, infer=infer)
+            return real(path)
 
         monkeypatch.setattr(store_mod, "read_table", counting)
         return ArtifactStore(tmp_path), calls
