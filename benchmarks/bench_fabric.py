@@ -1,10 +1,7 @@
-"""repro.fabric durability cost: in-memory queue vs SQLite job store.
+"""repro.fabric throughput: the SQLite job store every job goes through.
 
-Three legs, all over ``noop`` jobs so scheduling is the entire cost:
+Two legs, all over ``noop`` jobs so scheduling is the entire cost:
 
-``in-memory queue``
-    ``JobQueue`` submit-to-drained throughput — the zero-setup default
-    path and the baseline the fabric is measured against.
 ``fabric end-to-end``
     ``FabricStore`` submits plus an in-process :class:`Launcher`
     executing every job to ``done`` — each transition is a WAL commit,
@@ -43,7 +40,6 @@ from dataclasses import dataclass
 
 from repro._util.tables import TextTable
 from repro.fabric import FabricStore, Launcher
-from repro.serve import JobQueue, QueueFull
 
 QUICK_N = 40
 FULL_N = 300
@@ -60,22 +56,6 @@ class Measurement:
     @property
     def jobs_per_s(self) -> float:
         return self.n / self.seconds if self.seconds else float("inf")
-
-
-def bench_memory_queue(n: int) -> Measurement:
-    q = JobQueue(workers=4, capacity=64)
-    t0 = time.perf_counter()
-    submitted = 0
-    while submitted < n:
-        try:
-            q.submit("noop", lambda: None)
-            submitted += 1
-        except QueueFull:
-            time.sleep(0.0005)
-    assert q.drain(timeout=120)
-    elapsed = time.perf_counter() - t0
-    q.close()
-    return Measurement("in-memory queue", n, elapsed)
 
 
 def bench_fabric(db: str, n: int) -> list[Measurement]:
@@ -115,7 +95,7 @@ def bench_recovery(db: str, n: int) -> list[Measurement]:
 def render(results: list[Measurement]) -> str:
     table = TextTable(
         ["leg", "jobs", "seconds", "jobs/s"],
-        title="repro.fabric — durable vs in-memory job throughput")
+        title="repro.fabric — durable job throughput")
     for m in results:
         table.add_row([m.label, m.n, f"{m.seconds:.3f}",
                        f"{m.jobs_per_s:,.0f}"])
@@ -124,8 +104,7 @@ def render(results: list[Measurement]) -> str:
 
 def test_fabric_bench_quick(tmp_path):
     """Pytest smoke: every leg completes and reports a positive rate."""
-    results = [bench_memory_queue(15)]
-    results += bench_fabric(str(tmp_path / "bench.sqlite3"), 15)
+    results = bench_fabric(str(tmp_path / "bench.sqlite3"), 15)
     results += bench_recovery(str(tmp_path / "recovery.sqlite3"), 15)
     print()
     print(render(results))
@@ -148,27 +127,20 @@ def main(argv: list[str] | None = None) -> int:
     n = QUICK_N if args.quick else FULL_N
 
     with tempfile.TemporaryDirectory(prefix="bench-fabric-") as root:
-        results = [bench_memory_queue(n)]
-        results += bench_fabric(os.path.join(root, "bench.sqlite3"), n)
+        results = bench_fabric(os.path.join(root, "bench.sqlite3"), n)
         results += bench_recovery(
             os.path.join(root, "recovery.sqlite3"), n)
 
     print(render(results))
     by_label = {m.label: m for m in results}
     fabric_jps = by_label["fabric end-to-end"].jobs_per_s
-    overhead = (by_label["in-memory queue"].jobs_per_s
-                / max(fabric_jps, 1e-9))
-    print(f"durability overhead: fabric is {overhead:,.0f}x slower "
-          f"than the in-memory queue on noop jobs "
-          f"({fabric_jps:,.0f} jobs/s)")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "bench_fabric.json"), "w",
                   encoding="utf-8") as fh:
             json.dump({"results": [{**vars(m),
                                     "jobs_per_s": round(m.jobs_per_s, 2)}
-                                   for m in results],
-                       "durability_overhead_x": round(overhead, 1)},
+                                   for m in results]},
                       fh, indent=2)
         print(f"results kept in {args.out}/")
     if args.min_jps and fabric_jps < args.min_jps:

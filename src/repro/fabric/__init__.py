@@ -1,22 +1,24 @@
 """``repro.fabric`` — the durable job fabric: store, launcher, campaigns.
 
-The in-memory job queue inside ``repro.serve`` dies with the process;
-this package is its crash-safe counterpart, modeled on Balsam's
-service/launcher split:
+Every background job — ``repro-serve``'s insights, simulations and
+campaigns, and the shards of a paper-scale build — lives here, modeled
+on Balsam's service/launcher split:
 
 - :class:`FabricStore` — a stdlib-only SQLite job store (WAL mode,
   under the workdir's ``.store/`` layout) with explicit states
   (``pending → leased → running → done|failed|orphaned``) and an
   append-only transition history;
-- :class:`Launcher` — an independent process (``repro-launcher``) that
-  leases work with heartbeats and recovers orphaned jobs whose lease
-  expired (bounded retries, deterministic backoff);
+- :class:`Launcher` — a worker pool (its own ``repro-launcher``
+  process, or threads inside ``repro-serve``) that leases work with
+  heartbeats and recovers orphaned jobs whose lease expired (bounded
+  retries, deterministic backoff);
 - :func:`submit_campaign` — a parameter sweep of policy-lab
   simulations whose identity is content-addressed, so it survives
   crashes and resumes exactly where it left off.
 
-``repro-serve --fabric`` enqueues its ``POST`` jobs here instead of
-the in-memory queue; any number of launchers drain the same store.
+``repro-serve`` submits its ``POST`` jobs here (by default into its
+first workdir's database) and runs them on its own launcher threads;
+any number of ``repro-launcher`` processes may drain the same store.
 """
 
 from repro.fabric.store import (
@@ -24,6 +26,7 @@ from repro.fabric.store import (
     TERMINAL_STATES,
     FabricJob,
     FabricStore,
+    QueueFull,
     fabric_db_path,
 )
 from repro.fabric.runners import BUILTIN_RUNNERS, load_runners
@@ -35,6 +38,7 @@ __all__ = [
     "TERMINAL_STATES",
     "FabricJob",
     "FabricStore",
+    "QueueFull",
     "fabric_db_path",
     "BUILTIN_RUNNERS",
     "load_runners",

@@ -2,7 +2,7 @@
 
 ::
 
-    repro-serve --workdir out/ --fabric &        # enqueues durably
+    repro-serve --workdir out/ &                 # stores jobs, runs some
     repro-launcher --workdir out/ --workers 4    # executes, forever
 
 or point several launchers (any mix of machines sharing the
@@ -34,8 +34,9 @@ __all__ = ["main", "build_parser"]
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro-launcher",
-        description="execute durable fabric jobs (the launcher half "
-                    "of repro-serve --fabric)")
+        description="execute durable fabric jobs (extra workers "
+                    "for repro-serve's job database or a fabric "
+                    "build)")
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--workdir",
                         help="workdir whose .store/fabric.sqlite3 to "

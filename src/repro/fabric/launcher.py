@@ -1,11 +1,12 @@
-"""The launcher: an independent process pool that executes leased work.
+"""The launcher: a worker pool that executes leased work.
 
 A :class:`Launcher` is the execution half of the fabric (Balsam's
 ``launcher/`` shape): it owns no queue and no job state of its own —
 everything durable lives in the :class:`~repro.fabric.store.FabricStore`
 — it merely leases runnable jobs, executes them through the runner
 registry (:mod:`repro.fabric.runners`), and reports outcomes back under
-its lease token.
+its lease token.  It runs as ``repro-launcher`` or as threads inside
+``repro-serve``, where :meth:`Launcher.wake` starts a submission at once.
 
 The liveness contract:
 
@@ -88,6 +89,8 @@ class Launcher:
         #: job id -> lease token for everything this launcher is
         #: executing right now (the heartbeat set)
         self._inflight: dict[str, str] = {}
+        #: one token per wake(): an idle worker leases again at once
+        self._wakeups = threading.Semaphore(0)
         self._finished = 0
         self._idle_since_m: float | None = None
 
@@ -96,8 +99,8 @@ class Launcher:
     def run(self, stop: threading.Event | None = None) -> LauncherStats:
         """Block until stopped; returns the run's stats.
 
-        ``stop`` lets an embedding process (tests, ``repro-serve``
-        sidecars) request a graceful exit: workers finish their current
+        ``stop`` lets an embedding process (tests, ``repro-serve``'s
+        job workers) request a graceful exit: workers finish their current
         job, nothing new is leased.
         """
         stop = stop if stop is not None else threading.Event()
@@ -122,9 +125,15 @@ class Launcher:
                 stop.wait(timeout=min(self.poll_s, beat_every))
         finally:
             stop.set()
+            for _ in threads:
+                self._wakeups.release()
             for t in threads:
                 t.join(timeout=self.lease_s)
         return self.stats
+
+    def wake(self) -> None:
+        """A job was just submitted: let one idle worker lease now."""
+        self._wakeups.release()
 
     def _should_exit(self, now_m: float) -> bool:
         with self._lock:
@@ -173,7 +182,7 @@ class Launcher:
                     return
             job = self.store.lease(worker_id, self.lease_s)
             if job is None:
-                stop.wait(timeout=self.poll_s)
+                self._wakeups.acquire(timeout=self.poll_s)
                 continue
             self._execute(job, worker_id)
 

@@ -1,13 +1,12 @@
 """Executable job kinds: payload-in, JSON-result-out functions.
 
-A durable job cannot carry a closure across processes the way the
-in-memory :class:`~repro.serve.jobs.JobQueue` does — what survives a
-restart is ``(kind, payload)``.  This module is the other half of that
-contract: a registry mapping each kind to a runner
+A durable job cannot carry a closure across processes — what survives
+a restart is ``(kind, payload)``.  This module is the other half of
+that contract: a registry mapping each kind to a runner
 ``fn(payload, obs) -> result`` where payload and result are both
-JSON-serializable.  ``repro.serve`` builds its in-memory job closures
-from the *same* runners, so switching a deployment to ``--fabric``
-changes where jobs wait, never what they do.
+JSON-serializable.  Every launcher runs jobs through it, whether it is
+a ``repro-launcher`` process or the worker threads inside
+``repro-serve``, so where a job runs never changes what it does.
 
 Runners raise :class:`~repro._util.errors.ReproError` for payloads
 that can never succeed (the launcher fails those terminally instead of

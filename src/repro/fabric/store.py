@@ -1,12 +1,12 @@
 """The durable job store: SQLite-backed states, leases, and history.
 
-The in-memory :class:`repro.serve.jobs.JobQueue` dies with the server
-process; queued insight/simulate jobs and whole policy-lab campaigns
-are lost on restart.  :class:`FabricStore` is the durable alternative,
-shaped after Balsam's service/launcher split: jobs live in one SQLite
-database (WAL mode, under the workdir's existing ``.store/`` layout),
-move through explicit states, and every state change is appended to an
-immutable transition history — the store *is* the audit log.
+Every background job ``repro-serve`` accepts (LLM insights, policy
+what-ifs, campaign members) and every shard of a paper-scale fabric
+build is one row here.  :class:`FabricStore` is shaped after Balsam's
+service/launcher split: jobs live in one SQLite database (WAL mode,
+under the workdir's existing ``.store/`` layout), move through explicit
+states, and every state change is appended to an immutable transition
+history — the store *is* the audit log.
 
 State machine::
 
@@ -27,13 +27,15 @@ launcher picks it up.  No job is ever lost and no terminal state is
 reached twice — ``tests/test_fabric.py`` kills a launcher with
 ``SIGKILL`` mid-campaign and verifies exactly that from the history.
 
-Every connection is per-operation (no pooling): the store is shared by
-request threads in ``repro-serve`` and worker threads in independent
-``repro-launcher`` processes, and SQLite's own locking is the only
-synchronization this design needs.  Timestamps in the database are
-epoch seconds on purpose — they must be comparable *across* processes
-and restarts, which monotonic clocks are not; in-process deadline
-arithmetic (the launcher's heartbeat cadence) uses ``time.monotonic``.
+Each operation holds one pooled connection: the store is shared by
+request threads and launcher workers in every ``repro-serve`` shard and
+in independent ``repro-launcher`` processes, and SQLite's own locking
+is the only synchronization this design needs — which is also why the
+admission bound (``submit(capacity=)``) is checked inside the insert's
+write transaction.  Timestamps in the database are epoch seconds on
+purpose — they must be comparable *across* processes and restarts,
+which monotonic clocks are not; in-process deadline arithmetic (the
+launcher's heartbeat cadence) uses ``time.monotonic``.
 """
 
 from __future__ import annotations
@@ -42,15 +44,16 @@ import hashlib
 import json
 import os
 import sqlite3
+import threading
 import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro._util.errors import ConfigError, DataError
+from repro._util.errors import ConfigError, DataError, ReproError
 
-__all__ = ["FabricStore", "FabricJob", "FABRIC_STATES",
+__all__ = ["FabricStore", "FabricJob", "QueueFull", "FABRIC_STATES",
            "TERMINAL_STATES", "fabric_db_path"]
 
 #: every legal job state, in lifecycle order
@@ -109,6 +112,21 @@ _JOB_COLUMNS = ("id", "kind", "payload", "state", "campaign", "attempt",
                 "lease_expires_s", "result", "error", "created_s",
                 "updated_s")
 
+#: every job row plus its start and finish times, read off the history
+#: (so a database written before those fields existed reads the same)
+_SELECT_JOBS = (
+    "SELECT %s,"
+    " (SELECT MAX(t_s) FROM fabric_transitions"
+    "  WHERE job = fabric_jobs.id AND dst = 'running'),"
+    " (SELECT MAX(t_s) FROM fabric_transitions"
+    "  WHERE job = fabric_jobs.id AND dst IN ('done', 'failed'))"
+    " FROM fabric_jobs" % ", ".join(_JOB_COLUMNS))
+
+
+class QueueFull(ReproError):
+    """A bounded submission was refused: the store already holds
+    ``capacity`` pending ad-hoc jobs (HTTP 429)."""
+
 
 def fabric_db_path(workdir: str | os.PathLike) -> str:
     """The conventional fabric database location for one workdir
@@ -135,16 +153,26 @@ class FabricJob:
     error: str
     created_s: float
     updated_s: float
+    #: time of the latest ``running`` transition (None before any)
+    started_s: float | None = None
+    #: time of the terminal transition (None until done or failed)
+    finished_s: float | None = None
 
     def to_dict(self) -> dict:
-        """Polling-endpoint shape, aligned with the in-memory
-        :meth:`repro.serve.jobs.Job.to_dict` (``status`` key, epoch
-        reporting times)."""
-        out = {"id": self.id, "kind": self.kind, "status": self.state,
-               "durable": True, "attempt": self.attempt,
+        """Polling-endpoint shape: ``status`` is ``pending``,
+        ``running``, ``done`` or ``failed`` (a job leased but not yet
+        started reads ``pending``); times are epoch seconds."""
+        status = self.state if self.state in (
+            "running", "done", "failed") else "pending"
+        out = {"id": self.id, "kind": self.kind, "status": status,
+               "attempt": self.attempt,
                "max_attempts": self.max_attempts,
                "submitted_s": round(self.created_s, 3),
                "updated_s": round(self.updated_s, 3)}
+        if self.started_s is not None:
+            out["started_s"] = round(self.started_s, 3)
+        if self.finished_s is not None:
+            out["finished_s"] = round(self.finished_s, 3)
         if self.campaign:
             out["campaign"] = self.campaign
         if self.worker:
@@ -157,7 +185,7 @@ class FabricJob:
 
 
 def _row_to_job(row: tuple) -> FabricJob:
-    d = dict(zip(_JOB_COLUMNS, row))
+    d = dict(zip(_JOB_COLUMNS + ("started_s", "finished_s"), row))
     d["payload"] = json.loads(d["payload"])
     d["result"] = json.loads(d["result"]) if d["result"] else None
     return FabricJob(**d)
@@ -177,6 +205,9 @@ class FabricStore:
         self.path = os.fspath(path)
         self.obs = obs
         self.timeout_s = timeout_s
+        self._pool: list[sqlite3.Connection] = []
+        self._pool_pid = os.getpid()
+        self._pool_lock = threading.Lock()
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -190,25 +221,28 @@ class FabricStore:
 
     @contextmanager
     def _db(self) -> Iterator[sqlite3.Connection]:
-        """One short-lived connection per operation, always closed.
-
-        Pooling would pin a connection per server request thread (the
-        threaded HTTP server spawns one per connection); at fabric op
-        rates the ~0.1 ms open cost is noise next to the fsync.
-        """
-        conn = sqlite3.connect(self.path, timeout=self.timeout_s,
-                               isolation_level=None)
-        try:
-            conn.execute(
-                "PRAGMA busy_timeout=%d" % int(self.timeout_s * 1000))
+        """A pooled connection, held for one operation: opening one
+        costs more than a job poll's query, and in ``repro-serve``
+        each sqlite call hands the GIL to a running job.  A failed
+        operation's open transaction is closed (rolled back), not
+        reused; a forked child opens its own."""
+        with self._pool_lock:
+            if self._pool_pid != os.getpid():
+                self._pool, self._pool_pid = [], os.getpid()
+            conn = self._pool.pop() if self._pool else None
+        if conn is None:
+            conn = sqlite3.connect(self.path, timeout=self.timeout_s,
+                                   isolation_level=None,
+                                   check_same_thread=False)
             conn.execute("PRAGMA synchronous=NORMAL")
+        try:
             yield conn
         finally:
-            conn.close()
-
-    def close(self) -> None:
-        """Nothing pooled, nothing to release (kept for symmetry with
-        the in-memory queue's lifecycle)."""
+            if conn.in_transaction:
+                conn.close()
+            else:
+                with self._pool_lock:
+                    self._pool.append(conn)
 
     # -- metrics / events ----------------------------------------------------------
 
@@ -219,8 +253,10 @@ class FabricStore:
     def _gauges(self, conn: sqlite3.Connection) -> None:
         if self.obs is None:
             return
+        # the state index bounds this by the live jobs, not the history
         rows = conn.execute(
-            "SELECT state, COUNT(*) FROM fabric_jobs GROUP BY state")
+            "SELECT state, COUNT(*) FROM fabric_jobs WHERE state IN"
+            " ('pending', 'leased', 'running') GROUP BY state")
         counts = dict(rows.fetchall())
         self.obs.gauge("serve.fabric.pending").set(
             counts.get("pending", 0))
@@ -243,12 +279,18 @@ class FabricStore:
 
     def submit(self, kind: str, payload: dict, *,
                campaign: str | None = None, job_id: str | None = None,
-               max_attempts: int = 3) -> FabricJob:
+               max_attempts: int = 3,
+               capacity: int | None = None) -> FabricJob:
         """Insert one pending job; idempotent when ``job_id`` is given.
 
         An explicit ``job_id`` that already exists returns the stored
         job unchanged — that is what lets a crashed campaign submission
-        be replayed wholesale without duplicating members.
+        be replayed wholesale without duplicating members.  With a
+        ``capacity``, the insert raises :class:`QueueFull` while the
+        store already holds that many pending ad-hoc jobs (campaign
+        members do not count); the count and the insert share one
+        write transaction, so every process submitting to this
+        database shares the bound.
         """
         if max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
@@ -256,6 +298,14 @@ class FabricStore:
         now = time.time()
         with self._db() as conn:
             conn.execute("BEGIN IMMEDIATE")
+            if capacity is not None:
+                held = conn.execute(
+                    "SELECT COUNT(*) FROM fabric_jobs WHERE campaign IS"
+                    " NULL AND state IN ('pending', 'leased')").fetchone()
+                if held[0] >= capacity:
+                    conn.execute("ROLLBACK")
+                    raise QueueFull(
+                        f"job queue full ({capacity} pending)")
             cur = conn.execute(
                 "INSERT OR IGNORE INTO fabric_jobs (id, kind, payload,"
                 " state, campaign, max_attempts, created_s, updated_s)"
@@ -276,34 +326,24 @@ class FabricStore:
 
     def _get(self, conn: sqlite3.Connection,
              job_id: str) -> FabricJob | None:
-        row = conn.execute(
-            "SELECT %s FROM fabric_jobs WHERE id = ?"
-            % ", ".join(_JOB_COLUMNS), (job_id,)).fetchone()
+        row = conn.execute(_SELECT_JOBS + " WHERE id = ?",
+                           (job_id,)).fetchone()
         return _row_to_job(row) if row else None
 
     def get(self, job_id: str) -> FabricJob | None:
         with self._db() as conn:
             return self._get(conn, job_id)
 
-    def list_jobs(self, campaign: str | None = None,
-                  state: str | None = None,
-                  limit: int | None = None) -> list[FabricJob]:
-        sql = "SELECT %s FROM fabric_jobs" % ", ".join(_JOB_COLUMNS)
-        where, args = [], []
+    def list_jobs(self, campaign: str | None = None) -> list[FabricJob]:
+        """Every job (or one campaign's members), oldest first."""
+        sql = _SELECT_JOBS
+        args: tuple = ()
         if campaign is not None:
-            where.append("campaign = ?")
-            args.append(campaign)
-        if state is not None:
-            where.append("state = ?")
-            args.append(state)
-        if where:
-            sql += " WHERE " + " AND ".join(where)
-        sql += " ORDER BY created_s, id"
-        if limit is not None:
-            sql += " LIMIT ?"
-            args.append(int(limit))
+            sql += " WHERE campaign = ?"
+            args = (campaign,)
         with self._db() as conn:
-            return [_row_to_job(r) for r in conn.execute(sql, args)]
+            return [_row_to_job(r) for r in conn.execute(
+                sql + " ORDER BY created_s, id", args)]
 
     def counts(self, campaign: str | None = None) -> dict[str, int]:
         """Job count per state (every state present, zeros included)."""

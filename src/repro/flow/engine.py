@@ -245,7 +245,12 @@ class FlowEngine:
                  workers=self.workers)
         indegree = {n: g.in_degree(n) for n in g.nodes}
         ready = [n for n, d in indegree.items() if d == 0]
-        # deterministic dispatch order: registration order among ready
+        # deterministic submission order: the tasks released together
+        # (the roots here, one completion's successors below) go to the
+        # pool in registration order, and the pool starts what it holds
+        # first in first out — so a task released later starts after
+        # every task released before it, whatever its registration
+        # order (one worker runs t0, t1 after t0, t2 as t0, t2, t1)
         order = {name: i for i, name in enumerate(self._tasks)}
         ready.sort(key=order.__getitem__)
         lock = threading.Lock()

@@ -29,7 +29,7 @@ __all__ = ["TaxonomyRule"]
 
 #: metric-reporting attribute names → the kind they register.
 #: ``_count`` is the repo's standard optional-obs counter wrapper
-#: (serve.jobs / serve.cache / store use it).
+#: (serve.cache / store / fabric use it).
 _METRIC_ATTRS = {"counter": "counter", "_count": "counter",
                  "gauge": "gauge"}
 

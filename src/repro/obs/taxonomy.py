@@ -121,13 +121,7 @@ METRICS: dict[str, MetricDef] = {
     "serve.cache.evictions":       MetricDef(_C, "response-LRU evictions"),
     "serve.cache.entries":         MetricDef(_G, "response-LRU entry count"),
     "serve.cache.bytes":           MetricDef(_G, "response-LRU payload bytes"),
-    "serve.jobs.submitted":        MetricDef(_C, "background jobs accepted"),
     "serve.jobs.rejected":         MetricDef(_C, "submissions refused (429)"),
-    "serve.jobs.completed":        MetricDef(_C, "background jobs finished ok"),
-    "serve.jobs.failed":           MetricDef(_C, "background jobs that raised"),
-    "serve.jobs.cancelled":        MetricDef(_C, "queued jobs discarded at shutdown"),
-    "serve.jobs.queued":           MetricDef(_G, "jobs waiting in the queue"),
-    "serve.jobs.active":           MetricDef(_G, "jobs running on workers"),
     # -- event-loop transport (repro.serve.loop) ---------------------------------
     "serve.loop.accepted":         MetricDef(_C, "connections accepted by the event loop"),
     "serve.loop.open":             MetricDef(_G, "connections currently open"),

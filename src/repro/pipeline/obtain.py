@@ -19,6 +19,7 @@ import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -100,11 +101,17 @@ class ObtainReport:
 
 
 class ObtainStage:
-    """Pull sacct text for each window of a date range, with caching."""
+    """Pull sacct text for each window of a date range, with caching.
 
-    def __init__(self, db: AccountingDB, config: ObtainConfig,
-                 obs=None) -> None:
+    ``db`` is the database, or a function returning it that is called
+    only on a cache miss (then ``cluster`` names the cache files).
+    """
+
+    def __init__(self, db: AccountingDB | Callable[[], AccountingDB],
+                 config: ObtainConfig, obs=None, *,
+                 cluster: str | None = None) -> None:
         self.db = db
+        self.cluster = cluster or db.cluster
         self.config = config
         #: optional repro.obs.RunContext — every produced (or cache-hit)
         #: sacct window file is registered in the provenance ledger with
@@ -112,18 +119,18 @@ class ObtainStage:
         self.obs = obs
 
     def _window_artifact(self, name: str) -> Artifact:
-        return Artifact(name=f"{self.db.cluster}-{name}", fmt="pipe",
-                        path=os.path.join(
-                            self.config.cache_dir,
-                            f"{self.db.cluster}-{name}.txt"))
+        return Artifact(name=f"{self.cluster}-{name}", fmt="pipe",
+                        path=os.path.join(self.config.cache_dir,
+                                          f"{self.cluster}-{name}.txt"))
 
-    def _fetch(self, name: str, months: list[str]) -> tuple[str, int]:
+    def _fetch(self, db: AccountingDB, name: str,
+               months: list[str]) -> tuple[str, int]:
         start, _ = month_bounds(months[0])
         _, end = month_bounds(months[-1])
         path = self._window_artifact(name).path
-        rows = self.db.dump_sacct(path, start, end,
-                                  malformed_rate=self.config.malformed_rate,
-                                  rng=window_rng(self.config.seed, name))
+        rows = db.dump_sacct(path, start, end,
+                             malformed_rate=self.config.malformed_rate,
+                             rng=window_rng(self.config.seed, name))
         return path, rows
 
     def run(self) -> ObtainReport:
@@ -139,8 +146,9 @@ class ObtainStage:
             else:
                 todo.append((name, months))
         if todo:
+            db = self.db() if callable(self.db) else self.db
             with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
-                futures = {pool.submit(self._fetch, name, months): name
+                futures = {pool.submit(self._fetch, db, name, months): name
                            for name, months in todo}
                 results = {}
                 for fut, name in futures.items():

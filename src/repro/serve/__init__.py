@@ -18,9 +18,10 @@ frameworks) with
 - a write path: ``POST /api/runs`` ingests a tar-streamed workdir,
   verifies every artifact against its provenance content hash, and
   hot-registers the run — no restart,
-- a bounded background job queue with a worker pool for expensive work
-  (LLM insight analysis, policy-lab simulations) with explicit
-  backpressure (queue-full → 429 + ``Retry-After``),
+- background jobs for expensive work (LLM insight analysis,
+  policy-lab simulations and campaigns) held in the durable
+  :mod:`repro.fabric` store and run by in-process launcher threads,
+  with explicit backpressure (queue-full → 429 + ``Retry-After``),
 - Prometheus-style ``/metrics`` text export of the run context's
   :class:`~repro.obs.metrics.MetricRegistry` (``shard`` label under
   ``--procs``), and
@@ -31,7 +32,7 @@ Start it with ``repro-serve --workdir out/`` or
 """
 
 from repro.serve.cache import LRUCache
-from repro.serve.jobs import Job, JobQueue, QueueDraining, QueueFull
+from repro.serve.jobs import JobQueue, QueueFull
 from repro.serve.limit import RateLimiter
 from repro.serve.proto import ParsedRequest, ProtocolError, RequestParser
 from repro.serve.router import (
@@ -48,9 +49,7 @@ from repro.serve.shard import run_sharded, sharding_supported
 
 __all__ = [
     "LRUCache",
-    "Job",
     "JobQueue",
-    "QueueDraining",
     "QueueFull",
     "RateLimiter",
     "ParsedRequest",

@@ -3,16 +3,16 @@
 :class:`ServeApp` is transport-free — it maps a :class:`Request` to a
 :class:`Response` through the router, with no socket in sight, which is
 what makes the endpoint suite testable without binding ports.  The HTTP
-layer (:mod:`repro.serve.server`) is a thin adapter on top.
+layer (:mod:`repro.serve.loop`) is a thin adapter on top.
 
 Read paths (artifacts, charts, pages) are conditional-GET aware: every
 response body is addressed by the underlying file's content hash (the
 same streaming SHA-256 the provenance ledger uses), served as a strong
 ETag, and short-circuited to ``304 Not Modified`` when the client already
-holds it.  Expensive work goes through the bounded background job
-queue — or, with ``fabric=`` set, the crash-safe durable store that
-``repro-launcher`` processes drain — and every ``POST`` endpoint
-returns ``202`` plus a polling URL either way.
+holds it.  Expensive work is a background job in the durable fabric
+store (:class:`~repro.serve.jobs.JobQueue`), run by the server's own
+launcher threads; every ``POST`` endpoint returns ``202`` plus a
+polling URL.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ from dataclasses import dataclass, field
 from repro._util.clock import wall_now
 from repro._util.errors import DataError, ReproError
 from repro.fabric.campaign import submit_campaign
-from repro.fabric.runners import run_insight, run_simulate, \
-    simulate_payload
-from repro.fabric.store import FabricStore
+from repro.fabric.runners import simulate_payload
+from repro.fabric.store import FabricStore, fabric_db_path
 from repro.frame.io import iter_table
 from repro.obs import RunContext
 from repro.serve.cache import LRUCache
-from repro.serve.jobs import JobQueue, QueueDraining, QueueFull
+from repro.serve.jobs import JobQueue, QueueFull
 from repro.serve.router import NotFound, Router, ServeError
 from repro.serve.runs import RunDir, RunRegistry
 from repro.store.hashing import default_hash_cache
@@ -211,12 +210,14 @@ class ServeApp:
         self.obs = obs or RunContext(max_history=2048)
         self.hashes = default_hash_cache()
         self.cache = LRUCache(cache_entries, cache_bytes, obs=self.obs)
-        self.jobs = JobQueue(workers=job_workers, capacity=job_capacity,
+        #: every background job is a row in one fabric database (by
+        #: default the first workdir's), shared by all shards and by
+        #: any repro-launcher attached to it
+        db = fabric if fabric is not None \
+            else fabric_db_path(self.registry.runs[0].root)
+        self.jobs = JobQueue(FabricStore(db, obs=self.obs),
+                             workers=job_workers, capacity=job_capacity,
                              obs=self.obs)
-        #: durable path: POSTs enqueue into the fabric store (executed
-        #: by repro-launcher processes) instead of the in-memory queue
-        self.fabric = None if fabric is None \
-            else FabricStore(fabric, obs=self.obs)
         self.llm_backend = llm_backend
         self.request_timeout_s = request_timeout_s
         self.max_body_bytes = max_body_bytes
@@ -295,15 +296,9 @@ class ServeApp:
         return response
 
     def close(self, timeout: float | None = 5.0) -> bool:
-        """Graceful drain of the background queue (SIGTERM path).
-
-        Durable jobs need no draining — that is the point: they sit in
-        the fabric store and any launcher finishes them later.
-        """
-        finished = self.jobs.close(timeout)
-        if self.fabric is not None:
-            self.fabric.close()
-        return finished
+        """Stop the job workers, letting running jobs finish (SIGTERM
+        path).  Pending jobs stay in the store for the next start."""
+        return self.jobs.close(timeout)
 
     def clear_caches(self) -> None:
         """Drop the response LRU and the hash memo (benchmark cold
@@ -719,44 +714,39 @@ class ServeApp:
     # -- background jobs -----------------------------------------------------------
 
     def _h_jobs(self, request: Request, params: dict) -> Response:
-        jobs = [j.to_dict() for j in self.jobs.list_jobs()]
-        if self.fabric is not None:
-            jobs += [j.to_dict() for j in self.fabric.list_jobs(
-                campaign=request.query.get("campaign"),
-                state=request.query.get("state"))]
-        return json_response({"jobs": jobs})
+        """Every stored job, oldest first, optionally filtered by
+        ``campaign`` and by reported ``state`` (a leased job is
+        ``pending``); the durable history is unbounded, so clients page
+        it with ``offset``/``limit``."""
+        filters = {k: request.query[k] for k in ("campaign", "state")
+                   if k in request.query}
+        jobs = [j.to_dict() for j in
+                self.jobs.list_jobs(campaign=filters.get("campaign"))]
+        if "state" in filters:
+            jobs = [j for j in jobs if j["status"] == filters["state"]]
+        return self._paginate(request, "/api/jobs", jobs, "jobs",
+                              extra_query=filters)
 
     def _h_job(self, request: Request, params: dict) -> Response:
         job = self.jobs.get(params["id"])
-        if job is not None:
-            return json_response(job.to_dict())
-        if self.fabric is not None:
-            durable = self.fabric.get(params["id"])
-            if durable is not None:
-                out = durable.to_dict()
-                if request.query.get("history") in ("1", "true"):
-                    out["transitions"] = \
-                        self.fabric.transitions(durable.id)
-                return json_response(out)
-        raise NotFound(f"no job {params['id']!r}")
+        if job is None:
+            raise NotFound(f"no job {params['id']!r}")
+        out = job.to_dict()
+        if request.query.get("history") in ("1", "true"):
+            out["transitions"] = self.jobs.store.transitions(job.id)
+        return json_response(out)
 
-    def _submit(self, kind: str, payload: dict, fn) -> Response:
-        """Enqueue one job: durably when the fabric is on, else on the
-        in-memory queue.  Same 202-plus-poll-URL contract either way."""
-        if self.fabric is not None:
-            durable = self.fabric.submit(kind, payload)
-            return json_response({"job": durable.to_dict(),
-                                  "poll": f"/api/jobs/{durable.id}"},
-                                 status=202)
+    def _submit(self, kind: str, payload: dict) -> Response:
+        """Store one job: ``202`` plus its poll URL, or ``429`` with
+        ``Retry-After`` when the store holds ``job_capacity`` pending
+        jobs."""
         try:
-            job = self.jobs.submit(kind, fn)
+            job = self.jobs.submit(kind, payload)
         except QueueFull as exc:
             raise ServeError(
                 429, str(exc),
                 headers={"Retry-After": str(self.retry_after_s)}) \
                 from None
-        except QueueDraining as exc:
-            raise ServeError(503, str(exc)) from None
         return json_response({"job": job.to_dict(),
                               "poll": f"/api/jobs/{job.id}"},
                              status=202)
@@ -781,43 +771,35 @@ class ServeApp:
                            f"{run.basename!r}")
         payload = {"run": run.run_id, "run_root": run.root,
                    "chart": key, "backend": self.llm_backend}
-        return self._submit("insight", payload,
-                            lambda: run_insight(payload, self.obs))
+        return self._submit("insight", payload)
 
     def _h_post_simulate(self, request: Request, params: dict) -> Response:
         # validation errors (ReproError) surface as 400s in dispatch
         payload = simulate_payload(self._json_body(request))
-        return self._submit("simulate", payload,
-                            lambda: run_simulate(payload, self.obs))
+        return self._submit("simulate", payload)
 
-    # -- campaigns (fabric only) ---------------------------------------------------
-
-    def _fabric_or_503(self) -> FabricStore:
-        if self.fabric is None:
-            raise ServeError(503, "campaigns need the durable job "
-                                  "fabric (start with repro-serve "
-                                  "--fabric)")
-        return self.fabric
+    # -- campaigns -----------------------------------------------------------------
 
     def _h_campaigns(self, request: Request, params: dict) -> Response:
-        fabric = self._fabric_or_503()
-        return json_response({"campaigns": fabric.list_campaigns()})
+        return json_response(
+            {"campaigns": self.jobs.store.list_campaigns()})
 
     def _h_campaign(self, request: Request, params: dict) -> Response:
-        fabric = self._fabric_or_503()
         try:
-            status = fabric.campaign_status(params["id"])
+            status = self.jobs.store.campaign_status(params["id"])
         except DataError:
             raise NotFound(f"no campaign {params['id']!r}") from None
         if request.query.get("jobs") in ("1", "true"):
             status["jobs"] = [j.to_dict() for j in
-                              fabric.list_jobs(campaign=params["id"])]
+                              self.jobs.list_jobs(campaign=params["id"])]
         return json_response(status)
 
     def _h_post_campaign(self, request: Request, params: dict) -> Response:
         """Durably enqueue one parameter-sweep campaign (idempotent:
-        resubmitting the same name+spec resumes it)."""
-        fabric = self._fabric_or_503()
+        resubmitting the same name+spec resumes it).  Its members run
+        on the server's job workers and on any ``repro-launcher``
+        attached to the same database; they do not count against
+        ``job_capacity``."""
         body = self._json_body(request)
         name = body.get("name")
         if not isinstance(name, str) or not name:
@@ -825,7 +807,8 @@ class ServeApp:
         spec = body.get("spec", {})
         if not isinstance(spec, dict):
             raise ServeError(400, "spec must be a JSON object")
-        status = submit_campaign(fabric, name, spec)
+        status = submit_campaign(self.jobs.store, name, spec)
+        self.jobs.launcher.wake()
         return json_response(
             {"campaign": status,
              "poll": f"/api/campaigns/{status['id']}"}, status=202)

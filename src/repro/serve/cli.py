@@ -20,9 +20,16 @@ is a full process with its own ``/metrics`` (labelled ``shard="i"``).
 ``--rate-limit R`` answers 429 once a client exceeds R
 requests/second.
 
+Background jobs are rows in one fabric database (``<first
+workdir>/.store/fabric.sqlite3``, or ``--fabric DB`` — a read-only
+workdir needs one somewhere writable), run by ``--job-workers``
+launcher threads in every shard: all shards share its job ids and the
+``--job-capacity`` bound.
+
 ``SIGTERM``/``SIGINT`` trigger a graceful drain: stop accepting,
-in-flight requests finish, queued background jobs complete, then the
-process (or every shard) exits.
+in-flight requests finish, running background jobs complete (pending
+ones stay in the database for the next start), then the process (or
+every shard) exits.
 """
 
 from __future__ import annotations
@@ -66,9 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "runs are committed under DIR and served "
                         "immediately")
     p.add_argument("--job-workers", type=int, default=2,
-                   help="background worker pool size")
+                   help="launcher threads running background jobs")
     p.add_argument("--job-capacity", type=int, default=8,
-                   help="bounded job queue depth (full -> 429)")
+                   help="pending ad-hoc jobs the database may hold "
+                        "(full -> 429)")
     p.add_argument("--cache-entries", type=int, default=128,
                    help="response LRU entry bound")
     p.add_argument("--cache-mb", type=int, default=64,
@@ -81,18 +89,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "POST /api/runs has its own archive cap)")
     p.add_argument("--llm-backend", default="chart-analyst",
                    help="backend for POST /api/insights jobs")
-    p.add_argument("--fabric", nargs="?", const="auto", default=None,
-                   metavar="DB",
-                   help="enqueue POST jobs into the durable fabric "
-                        "store instead of the in-memory queue "
-                        "(default DB: <first workdir>/.store/"
-                        "fabric.sqlite3; run repro-launcher to "
-                        "execute them)")
+    p.add_argument("--fabric", nargs="?", default=None, metavar="DB",
+                   help="the background jobs' fabric database "
+                        "(default: <first workdir>/.store/"
+                        "fabric.sqlite3)")
     return p
 
 
-def _build_app(args, fabric) -> ServeApp:
-    return ServeApp(
+def _build_server(args, sock=None):
+    app = ServeApp(
         args.workdir,
         llm_backend=args.llm_backend,
         cache_entries=args.cache_entries,
@@ -102,11 +107,7 @@ def _build_app(args, fabric) -> ServeApp:
         request_timeout_s=args.timeout or None,
         max_body_bytes=args.max_body_kb * 1024,
         ingest_dir=args.ingest_dir,
-        fabric=fabric)
-
-
-def _build_server(args, fabric, sock=None):
-    app = _build_app(args, fabric)
+        fabric=args.fabric)
     limiter = None if args.rate_limit is None \
         else RateLimiter(args.rate_limit)
     return app, EventLoopServer(
@@ -143,9 +144,9 @@ def _serve_until_signal(app, server, banner: str) -> int:
     return 0 if clean else 1
 
 
-def _shard_main(args, fabric, shard: int, sock) -> int:
+def _shard_main(args, shard: int, sock) -> int:
     """Runs inside one forked shard (its own process, app, metrics)."""
-    app, server = _build_server(args, fabric, sock=sock)
+    app, server = _build_server(args, sock=sock)
     app.shard = str(shard)
     return _serve_until_signal(
         app, server, f"repro-serve: shard {shard} on "
@@ -154,10 +155,6 @@ def _shard_main(args, fabric, shard: int, sock) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    fabric = args.fabric
-    if fabric == "auto":
-        from repro.fabric import fabric_db_path
-        fabric = fabric_db_path(args.workdir[0])
     if args.procs < 1:
         print("error: --procs must be >= 1", file=sys.stderr)
         return 2
@@ -166,8 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             return run_sharded(
                 args.procs, args.host, args.port,
-                lambda shard, sock: _shard_main(args, fabric, shard,
-                                                sock),
+                lambda shard, sock: _shard_main(args, shard, sock),
                 on_ready=lambda host, port, pids: _announce(
                     f"repro-serve: {args.procs} shards on "
                     f"http://{host}:{port} (pids {pids})"))
@@ -176,17 +172,14 @@ def main(argv: list[str] | None = None) -> int:
             return 1
 
     try:
-        app, server = _build_server(args, fabric)
+        app, server = _build_server(args)
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     host, port = server.address
     runs = ", ".join(r.basename for r in app.registry.runs)
-    mode = f"fabric {fabric}" if fabric else \
-        f"jobs: {args.job_workers} workers, queue {args.job_capacity}"
     return _serve_until_signal(
-        app, server,
-        f"repro-serve: {runs} on http://{host}:{port} ({mode})")
+        app, server, f"repro-serve: {runs} on http://{host}:{port}")
 
 
 if __name__ == "__main__":   # pragma: no cover

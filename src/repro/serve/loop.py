@@ -241,8 +241,9 @@ class EventLoopServer:
 
     def close(self, graceful: bool = True,
               timeout: float | None = 10.0) -> bool:
-        """Stop accepting, let in-flight responses finish, drain the
-        job queue.  Returns ``True`` when everything completed."""
+        """Stop accepting, let in-flight responses finish, stop the job
+        workers (``graceful`` waits for running jobs).  Returns ``True``
+        when everything completed."""
         self._drain_evt.set()
         self._wake()
         deadline = None if timeout is None \
@@ -264,9 +265,7 @@ class EventLoopServer:
             self._wake_w.close()
         except OSError:                 # pragma: no cover - defensive
             pass
-        if graceful:
-            return self.app.close(timeout)
-        return self.app.jobs.drain(timeout=0)
+        return self.app.close(timeout if graceful else 0)
 
     # -- loop internals ------------------------------------------------------------
 

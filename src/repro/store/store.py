@@ -80,11 +80,26 @@ def resolve_table_path(path: str | os.PathLike,
     return p
 
 
+def _read_negotiated(path: str,
+                     hash_cache: HashCache | None) -> tuple[Frame, bool]:
+    """``(frame, read from the twin)``: the current twin when it reads,
+    else the file itself — negotiation checks only the twin's header,
+    so a payload corrupted behind an intact header surfaces here."""
+    source = resolve_table_path(path, hash_cache=hash_cache)
+    if source != path:
+        try:
+            return read_table(source), True
+        except (DataError, OSError):
+            pass
+    return read_table(path), False
+
+
 def read_table_fast(path: str | os.PathLike,
                     hash_cache: HashCache | None = None) -> Frame:
     """:func:`repro.frame.io.read_table` with transparent ``.npf``-twin
-    negotiation.  Accepts either format directly."""
-    return read_table(resolve_table_path(path, hash_cache=hash_cache))
+    negotiation (a twin that fails to read falls back to the CSV).
+    Accepts either format directly."""
+    return _read_negotiated(os.fspath(path), hash_cache)[0]
 
 
 class _PendingFrame:
@@ -164,10 +179,12 @@ class ArtifactStore:
 
         Concurrent callers for the same table block on the first load
         and share the resulting Frame (treat as read-only, as Frame
-        documents).  The memo key includes the file's stat identity, so
-        a rewrite between tasks is picked up, never served stale.
+        documents).  The memo key is the requested file and its stat
+        identity (a current twin holds that file's content, whichever
+        of the two is read), so a rewrite between tasks is picked up,
+        never served stale.
         """
-        path = resolve_table_path(artifact, hash_cache=self.hashes)
+        path = os.fspath(artifact)
         st = os.stat(path)
         key = (path, st.st_size, st.st_mtime_ns)
         with self._frame_lock:
@@ -182,7 +199,7 @@ class ArtifactStore:
                 raise entry.error
             return entry.frame
         try:
-            entry.frame = read_table(path)
+            entry.frame, via_twin = _read_negotiated(path, self.hashes)
         except BaseException as exc:
             entry.error = exc
             with self._frame_lock:      # failed loads are retryable
@@ -191,7 +208,7 @@ class ArtifactStore:
         finally:
             entry.ready.set()
         self._count("store.loads")
-        if path.endswith(FORMATS["npf"]):
+        if via_twin or path.endswith(FORMATS["npf"]):
             self._count("store.npf_reads")
         return entry.frame
 

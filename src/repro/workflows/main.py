@@ -83,7 +83,6 @@ class WorkflowConfig:
     enable_ai: bool = True            # the orange user-defined stages
     llm_backend: str = "chart-analyst"
     malformed_rate: float = DEFAULT_MALFORMED_RATE
-    db: AccountingDB | None = None    # supply an existing database
     #: scheduler-config template for the synthesized timeline (scenario
     #: runs attach their injection stream here); the run's seed is
     #: layered on top with dataclasses.replace
@@ -162,7 +161,7 @@ class SchedulingAnalysisWorkflow:
         #: memo, .npf-twin negotiation, and hash freshness stamps
         self.store = ArtifactStore(config.workdir, obs=self.obs)
         self._specs: dict[str, ChartSpec] = {}
-        self._db = config.db
+        self._db: AccountingDB | None = None
         self._lock = __import__("threading").Lock()
 
     # -- artifact handles ------------------------------------------------------
@@ -203,7 +202,7 @@ class SchedulingAnalysisWorkflow:
     # -- stage bodies -------------------------------------------------------------
 
     def _ensure_db(self) -> AccountingDB:
-        """The Slurm database (synthesized when not supplied).
+        """The Slurm database, synthesized on first use.
 
         Guarded by a lock: concurrent Obtain tasks must not both
         synthesize it.
@@ -237,7 +236,9 @@ class SchedulingAnalysisWorkflow:
                            malformed_rate=self.config.malformed_rate,
                            seed=self.config.seed,
                            workers=self.config.workers)
-        ObtainStage(self._ensure_db(), cfg, obs=self.obs).run()
+        # the database is built only if some window misses the cache
+        ObtainStage(self._ensure_db, cfg, obs=self.obs,
+                    cluster=self.config.system).run()
 
     def _curate(self, month: str) -> None:
         stage = CurateStage(self.store.dir_for("csv"), obs=self.obs)

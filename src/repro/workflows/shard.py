@@ -393,24 +393,21 @@ class _Dispatcher:
         from repro.fabric import FabricStore, Launcher
 
         store = FabricStore(self.fabric_db)
-        try:
-            groups = [[p] for p in payloads] if sequential else [payloads]
-            results: list[dict] = []
-            for group in groups:
-                ids = [store.submit(kind, p).id for p in group]
-                Launcher(store, workers=self.procs, idle_exit_s=0.2,
-                         poll_s=0.02).run()
-                for job_id in ids:
-                    job = store.get(job_id)
-                    if job is None or job.state != "done":
-                        raise WorkflowError(
-                            f"fabric {kind} job {job_id} ended "
-                            f"{job.state if job else 'missing'}: "
-                            f"{job.error if job else ''}")
-                    results.append(job.result)
-            return results
-        finally:
-            store.close()
+        groups = [[p] for p in payloads] if sequential else [payloads]
+        results: list[dict] = []
+        for group in groups:
+            ids = [store.submit(kind, p).id for p in group]
+            Launcher(store, workers=self.procs, idle_exit_s=0.2,
+                     poll_s=0.02).run()
+            for job_id in ids:
+                job = store.get(job_id)
+                if job is None or job.state != "done":
+                    raise WorkflowError(
+                        f"fabric {kind} job {job_id} ended "
+                        f"{job.state if job else 'missing'}: "
+                        f"{job.error if job else ''}")
+                results.append(job.result)
+        return results
 
 
 # -- the orchestrator ---------------------------------------------------------------

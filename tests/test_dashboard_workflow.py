@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,7 +139,10 @@ class TestEndToEndWorkflow:
 
     def test_cache_reused_on_second_run(self, workflow_result,
                                         tmp_path_factory):
-        cfg = workflow_result.config
+        # rerun in a copy, so the module's manifest stays the first run's
+        workdir = str(tmp_path_factory.mktemp("wf-rerun") / "wf")
+        shutil.copytree(workflow_result.config.workdir, workdir)
+        cfg = replace(workflow_result.config, workdir=workdir)
         wf2 = SchedulingAnalysisWorkflow(cfg)
         res2 = wf2.run()
         assert res2.flow_report.ok
@@ -146,6 +151,28 @@ class TestEndToEndWorkflow:
         # curate is memoized: its CSVs are newer than the cached pull
         assert res2.flow_report.results["curate-2024-01"].status == \
             "cached"
+
+    def test_cached_rerun_does_not_simulate(self, tmp_path):
+        """Obtain asks for the database only when a window misses the
+        cache: a rerun whose pulls are all cached runs no simulation."""
+        cfg = WorkflowConfig(system="testsys",
+                             months=("2024-01", "2024-02"),
+                             workdir=str(tmp_path), workers=2, seed=3,
+                             rate_scale=0.1, enable_ai=False)
+        SchedulingAnalysisWorkflow(cfg).run()
+        data = tmp_path / "data"
+        first = {p.name: p.read_bytes() for p in sorted(data.iterdir())}
+        res = SchedulingAnalysisWorkflow(cfg).run()
+        assert res.flow_report.ok
+        assert {res.flow_report.results[f"curate-{m}"].status
+                for m in cfg.months} == {"cached"}
+        summary = res.run_context.summary()
+        assert not [s["name"] for s in summary["spans"]
+                    if s["name"].startswith("sim:")]
+        assert not [m for m in summary["metrics"]
+                    if m.startswith("sched.")]
+        assert {p.name: p.read_bytes()
+                for p in sorted(data.iterdir())} == first
 
     def test_ai_disabled_still_builds_dashboard(self, tmp_path_factory):
         workdir = str(tmp_path_factory.mktemp("wf-noai"))

@@ -21,6 +21,7 @@ from repro.fabric import (
     TERMINAL_STATES,
     FabricStore,
     Launcher,
+    QueueFull,
     expand_campaign,
     fabric_db_path,
     submit_campaign,
@@ -173,6 +174,45 @@ class TestFabricStore:
         assert snap["serve.fabric.pending"] == 0
         kinds = [e.kind for e in obs.events]
         assert kinds.count("fabric_transition") == 4
+
+    def test_capacity_bound_holds_under_concurrent_submits(self, store):
+        """The count and the insert share one write transaction: many
+        concurrent submitters never admit more than ``capacity``
+        ad-hoc jobs (campaign members never count)."""
+        for i in range(10):
+            store.submit("noop", {}, campaign="cp-x", job_id=f"cp-x-{i}")
+        admitted, refused = [], []
+
+        def submitter():
+            for _ in range(6):
+                try:
+                    admitted.append(store.submit("noop", {}, capacity=5))
+                except QueueFull:
+                    refused.append(1)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submitter)
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert (len(admitted), len(refused)) == (5, 43)
+        assert store.counts()["pending"] == 15
+
+    def test_failed_operation_never_pools_an_open_transaction(self, store):
+        with pytest.raises(RuntimeError):
+            with store._db() as conn:
+                conn.execute("BEGIN IMMEDIATE")
+                raise RuntimeError("fails mid-transaction")
+        assert not any(c.in_transaction for c in store._pool)
+        store.submit("noop", {})        # the write lock was released
+        assert store.counts()["pending"] == 1
 
     def test_db_under_store_layout(self, tmp_path):
         path = fabric_db_path(tmp_path)

@@ -146,3 +146,27 @@ def test_flipped_twin_header_byte_falls_back_to_csv(tmp_path):
         with open(twin, "wb") as fh:
             fh.write(blob[:at] + bytes([blob[at] ^ 0x80]) + blob[at + 1:])
         assert read_table_fast(csv_path) == want, at
+
+
+def test_corrupt_twin_payload_falls_back_to_csv(tmp_path):
+    """A twin whose header still checks out but whose payload is
+    corrupt is chosen by negotiation; both loaders then read the CSV,
+    and the store memo keys the frame by the CSV."""
+    csv_path, twin = _curated(tmp_path)
+    blob = bytearray(open(twin, "rb").read())
+    hlen = struct.unpack("<I", blob[4:8])[0]
+    base = (8 + hlen + 63) // 64 * 64
+    user = next(c for c in sniff_npf(twin)["columns"]
+                if c["name"] == "User")
+    blob[base + user["offsets"][0] + 8 + 7] ^= 0x80   # offset 1 < 0
+    with open(twin, "wb") as fh:
+        fh.write(blob)
+    assert resolve_table_path(csv_path) == twin
+    with pytest.raises(DataError, match="corrupt value offsets"):
+        read_npf(twin)
+    want = read_csv(csv_path)
+    assert read_table_fast(csv_path) == want
+    store = ArtifactStore(str(tmp_path))
+    assert store.load_frame(csv_path) == want
+    assert store.load_frame(csv_path) is store.load_frame(csv_path)
+    assert [key[0] for key in store._frames] == [csv_path]

@@ -15,14 +15,13 @@ from http.client import HTTPConnection
 import pytest
 
 from repro._util.errors import ConfigError, DataError
+from repro.fabric import FabricStore
 from repro.serve import (
     EventLoopServer,
-    Job,
     JobQueue,
     LRUCache,
     MethodNotAllowed,
     NotFound,
-    QueueDraining,
     QueueFull,
     Request,
     Router,
@@ -30,7 +29,6 @@ from repro.serve import (
     RunRegistry,
     ServeApp,
 )
-from repro.serve.jobs import MAX_FINISHED_JOBS
 from repro.workflows import SchedulingAnalysisWorkflow, WorkflowConfig
 
 
@@ -46,9 +44,10 @@ def served_workdir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def app(served_workdir):
+def app(served_workdir, tmp_path_factory):
     app = ServeApp([served_workdir], job_workers=1, job_capacity=4,
-                   request_timeout_s=30.0)
+                   request_timeout_s=30.0,
+                   fabric=str(tmp_path_factory.mktemp("jobs") / "db"))
     yield app
     app.close()
 
@@ -146,154 +145,103 @@ class TestLRUCache:
         assert len(cache) == 0 and cache.get("a") is None
 
 
-class TestJobQueue:
-    def test_lifecycle_pending_running_done(self):
-        q = JobQueue(workers=1, capacity=4)
-        gate = threading.Event()
-        job = q.submit("test", lambda: gate.wait(5) and "result")
-        deadline = time.time() + 5
-        while q.get(job.id).status == "pending" and time.time() < deadline:
-            time.sleep(0.005)
-        assert q.get(job.id).status == "running"
-        gate.set()
-        assert q.drain(timeout=5)
-        done = q.get(job.id)
-        assert done.status == "done" and done.result == "result"
-        q.close()
+def job_queue(tmp_path, runners=None, **kwargs):
+    """A JobQueue over its own store, with extra test runners."""
+    q = JobQueue(FabricStore(str(tmp_path / "jobs.sqlite3")), **kwargs)
+    q.launcher.runners.update(runners or {})
+    return q
 
-    def test_failure_recorded(self):
-        q = JobQueue(workers=1, capacity=4)
-        job = q.submit("boom", lambda: 1 / 0)
-        q.drain(timeout=5)
-        failed = q.get(job.id)
-        assert failed.status == "failed"
-        assert "ZeroDivisionError" in failed.error
+
+def wait_status(q, job_id, statuses, timeout=10.0):
+    """Poll ``job_id`` until its reported status is in ``statuses``."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        job = q.get(job_id)
+        if job.to_dict()["status"] in statuses:
+            return job
+        time.sleep(0.005)
+    pytest.fail(f"job {job_id} never reached {sorted(statuses)}")
+
+
+class TestJobQueue:
+    def test_lifecycle_pending_running_done(self, tmp_path):
+        gate = threading.Event()
+        q = job_queue(tmp_path, {"test": lambda p, obs: gate.wait(5)
+                                 and "result"}, workers=1, capacity=4)
+        job = q.submit("test", {})
+        assert job.to_dict()["status"] == "pending"
+        wait_status(q, job.id, {"running"})
+        gate.set()
+        done = wait_status(q, job.id, {"done", "failed"})
+        assert done.state == "done" and done.result == "result"
+        assert job.created_s <= done.started_s <= done.finished_s
+        assert q.close(timeout=5)
+
+    def test_failure_recorded(self, tmp_path):
+        def boom(payload, obs):
+            raise DataError("payload can never succeed")
+
+        q = job_queue(tmp_path, {"boom": boom}, workers=1, capacity=4)
+        job = q.submit("boom", {})
+        failed = wait_status(q, job.id, {"done", "failed"})
+        assert failed.state == "failed"
+        assert "DataError" in failed.error
         assert "error" in failed.to_dict()
         q.close()
 
-    def test_bounded_queue_rejects(self):
-        q = JobQueue(workers=1, capacity=1)
+    def test_bounded_queue_rejects(self, tmp_path):
         gate = threading.Event()
-        q.submit("hold", gate.wait)     # occupies the worker
-        # wait until the worker picked it up, then fill the one slot
-        deadline = time.time() + 5
-        while q._queue.qsize() and time.time() < deadline:
-            time.sleep(0.005)
-        q.submit("queued", lambda: None)
+        q = job_queue(tmp_path, {"hold": lambda p, obs: gate.wait(5)},
+                      workers=1, capacity=1)
+        held = q.submit("hold", {})     # occupies the worker
+        wait_status(q, held.id, {"running"})
+        q.submit("noop", {})            # the one pending slot
         with pytest.raises(QueueFull):
-            q.submit("overflow", lambda: None)
+            q.submit("noop", {})
         gate.set()
         q.close()
 
-    def test_drain_refuses_new_work(self):
-        q = JobQueue(workers=1, capacity=4)
-        q.drain(timeout=5)
-        with pytest.raises(QueueDraining):
-            q.submit("late", lambda: None)
-        q.close()
+    def test_drain_refuses_new_work(self, tmp_path):
+        # a closed queue runs nothing more: a later submission is kept
+        # pending in the store for the next start
+        q = job_queue(tmp_path, workers=1, capacity=4)
+        assert q.close(timeout=5)
+        late = q.submit("noop", {})
+        time.sleep(0.2)
+        assert q.get(late.id).state == "pending"
 
-    def test_drain_waits_for_queued_jobs(self):
-        q = JobQueue(workers=1, capacity=4)
-        done = []
-        for i in range(3):
-            q.submit("slow", lambda i=i: (time.sleep(0.05),
-                                          done.append(i)))
+    def test_drain_waits_for_queued_jobs(self, tmp_path):
+        # close() waits for the running job; the queued ones stay
+        # pending in the store
+        started, release = threading.Event(), threading.Event()
+
+        def slow(payload, obs):
+            started.set()
+            release.wait(5)
+            return payload["i"]
+
+        q = job_queue(tmp_path, {"slow": slow}, workers=1, capacity=4)
+        jobs = [q.submit("slow", {"i": i}) for i in range(3)]
+        assert started.wait(5)
+        threading.Timer(0.1, release.set).start()
         assert q.close(timeout=10)
-        assert sorted(done) == [0, 1, 2]
+        held = [q.get(j.id) for j in jobs]
+        assert [j.state for j in held] == ["done", "pending", "pending"]
+        assert held[0].result == 0
 
-    def test_unknown_job_is_none(self):
-        q = JobQueue(workers=1, capacity=1)
+    def test_unknown_job_is_none(self, tmp_path):
+        q = job_queue(tmp_path, workers=1, capacity=1)
         assert q.get("job-999") is None
         q.close()
 
-    def test_list_jobs_in_submission_order(self):
-        # ids compared as strings would list job-10 before job-2
-        q = JobQueue(workers=1, capacity=12)
-        jobs = [q.submit("quick", lambda: None) for _ in range(12)]
-        assert q.drain(timeout=5)
+    def test_list_jobs_in_submission_order(self, tmp_path):
+        q = job_queue(tmp_path, workers=1, capacity=12)
+        jobs = [q.submit("noop", {}) for _ in range(12)]
         assert [j.id for j in q.list_jobs()] == [j.id for j in jobs]
-        assert [j.id for j in jobs][8:10] == ["job-9", "job-10"]
         q.close()
 
-    def test_finished_history_bounded(self, served_workdir):
-        cap, k = MAX_FINISHED_JOBS, 3
-        app = ServeApp([served_workdir], job_workers=2,
-                       job_capacity=cap + k + 1)
-        gate = threading.Event()
-        held = app.jobs.submit("hold", gate.wait)
-        quick = [app.jobs.submit("quick", lambda: None)
-                 for _ in range(cap + k)]
-        deadline = time.time() + 30
-        while app.jobs.get(quick[-1].id).status != "done" \
-                and time.time() < deadline:
-            time.sleep(0.005)
-        # the oldest job is still running: never evicted
-        listed = [j.id for j in app.jobs.list_jobs()]
-        assert listed[0] == held.id
-        assert held.status in ("pending", "running")
-        assert listed[1:] == [j.id for j in quick[k:]]
-        gate.set()
-        assert app.jobs.drain(timeout=5)
-        listed = [j["id"] for j in body_json(get(app, "/api/jobs"))["jobs"]]
-        assert len(listed) == cap
-        assert listed == [held.id] + [j.id for j in quick[k + 1:]]
-        assert get(app, f"/api/jobs/{quick[0].id}").status == 404
-        assert get(app, f"/api/jobs/{quick[-1].id}").status == 200
-        app.close()
-
-    def test_outstanding_never_negative_under_stress(self):
-        # regression: _outstanding used to be incremented after the job
-        # was already visible to workers, so a fast worker could drive
-        # it negative and let drain() return with work still in flight
-        q = JobQueue(workers=4, capacity=8)
-        samples = []
-        stop = threading.Event()
-
-        def watch():
-            while not stop.is_set():
-                samples.append(q._outstanding)
-
-        watcher = threading.Thread(target=watch, daemon=True)
-        watcher.start()
-        for _ in range(300):
-            while True:
-                try:
-                    q.submit("tick", lambda: None)
-                    break
-                except QueueFull:
-                    time.sleep(0.0005)
-        assert q.drain(timeout=10)
-        stop.set()
-        watcher.join(timeout=5)
-        assert samples and min(samples) >= 0
-        assert q._outstanding == 0
-        q.close()
-
-    def test_close_with_full_queue_does_not_hang(self):
-        # regression: close() used a blocking put(None) per worker; with
-        # the queue still full after a timed-out drain it never returned
-        from repro.obs import RunContext
-        obs = RunContext()
-        q = JobQueue(workers=1, capacity=2, obs=obs)
-        gate = threading.Event()
-        q.submit("hold", gate.wait)     # occupies the worker
-        deadline = time.monotonic() + 5
-        while q._queue.qsize() and time.monotonic() < deadline:
-            time.sleep(0.005)
-        queued = [q.submit("doomed", lambda: None) for _ in range(2)]
-        t0 = time.monotonic()
-        finished = q.close(timeout=0.1)
-        elapsed = time.monotonic() - t0
-        assert finished is False
-        assert elapsed < 5              # used to hang forever
-        for job in queued:
-            held = q.get(job.id)
-            assert held.status == "failed"
-            assert held.error == "cancelled at shutdown"
-        assert obs.metrics.snapshot()["serve.jobs.cancelled"] == 2
-        gate.set()
-
-    def test_drain_deadline_ignores_wall_clock_jumps(self, monkeypatch):
+    def test_drain_deadline_ignores_wall_clock_jumps(self, tmp_path,
+                                                     monkeypatch):
         # a time.time()-based deadline would expire instantly when the
         # wall clock steps forward (NTP, DST); monotonic must not care
         import repro.serve.jobs as jobs_mod
@@ -316,14 +264,16 @@ class TestJobQueue:
 
         shim = ClockShim()
         monkeypatch.setattr(jobs_mod, "time", shim)
-        q = JobQueue(workers=1, capacity=4)
-        for _ in range(3):
-            q.submit("quick", lambda: time.sleep(0.01))
+        q = job_queue(tmp_path, {"quick": lambda p, obs: time.sleep(0.05)},
+                      workers=1, capacity=4)
+        job = q.submit("quick", {})
+        wait_status(q, job.id, {"running", "done"})
         shim.wall_offset = 1e6          # massive forward step
-        assert q.drain(timeout=10)      # still finishes, still True
-        q.close()
+        assert q.close(timeout=10)      # still finishes, still True
+        assert q.get(job.id).state == "done"
 
-    def test_drain_deadline_follows_monotonic_clock(self, monkeypatch):
+    def test_drain_deadline_follows_monotonic_clock(self, tmp_path,
+                                                    monkeypatch):
         import repro.serve.jobs as jobs_mod
 
         class ClockShim:
@@ -341,9 +291,10 @@ class TestJobQueue:
 
         shim = ClockShim()
         monkeypatch.setattr(jobs_mod, "time", shim)
-        q = JobQueue(workers=1, capacity=4)
         gate = threading.Event()
-        q.submit("hold", gate.wait)
+        q = job_queue(tmp_path, {"hold": lambda p, obs: gate.wait(10)},
+                      workers=1, capacity=4)
+        wait_status(q, q.submit("hold", {}).id, {"running"})
 
         def advance():
             time.sleep(0.1)
@@ -351,38 +302,36 @@ class TestJobQueue:
 
         threading.Thread(target=advance, daemon=True).start()
         t0 = time.monotonic()
-        assert q.drain(timeout=30.0) is False
+        assert q.close(timeout=30.0) is False
         assert time.monotonic() - t0 < 5
         gate.set()
-        q.close()
+        shim.mono_offset = 0.0
+        assert q.close(timeout=10)
 
-    def test_worker_reraises_keyboard_interrupt(self, monkeypatch):
+    def test_worker_reraises_keyboard_interrupt(self, tmp_path,
+                                                monkeypatch):
         # regression: `except BaseException` swallowed KeyboardInterrupt
         # and SystemExit, keeping the worker alive through a Ctrl-C
         escaped = []
         monkeypatch.setattr(
             threading, "excepthook",
             lambda hook_args: escaped.append(hook_args.exc_type))
-        q = JobQueue(workers=1, capacity=4)
 
-        def interrupt():
+        def interrupt(payload, obs):
             raise KeyboardInterrupt("simulated ctrl-c")
 
-        job = q.submit("interrupt", interrupt)
+        q = job_queue(tmp_path, {"interrupt": interrupt}, workers=1,
+                      capacity=4)
+        job = q.submit("interrupt", {})
         deadline = time.monotonic() + 5
-        while (q.get(job.id).status != "failed"
-               and time.monotonic() < deadline):
+        while not escaped and time.monotonic() < deadline:
             time.sleep(0.005)
-        failed = q.get(job.id)
-        assert failed.status == "failed"
-        assert "KeyboardInterrupt" in failed.error
-        deadline = time.monotonic() + 5
-        while (any(t.is_alive() for t in q._threads)
-               and time.monotonic() < deadline):
-            time.sleep(0.005)
-        # the exception propagated out of the worker (thread is dead)
-        assert not any(t.is_alive() for t in q._threads)
+        # the attempt is recorded, then the exception propagated out of
+        # the worker thread
         assert escaped == [KeyboardInterrupt]
+        held = q.get(job.id)
+        assert held.attempt == 1 and "KeyboardInterrupt" in held.error
+        q.close()
 
 
 class TestRunDir:
@@ -610,15 +559,11 @@ class TestEndpoints:
 
     def test_metrics_exposition(self, app):
         get(app, "/healthz")            # ensure request counters exist
-        app.jobs.submit("noop", lambda: None)
-        app.jobs.drain(timeout=5)
-        # NB: drain() only blocks new submissions permanently on close;
-        # re-enable for later tests in this module
-        app.jobs._accepting = True
+        wait_status(app.jobs, app.jobs.submit("noop", {}).id, {"done"})
         text = get(app, "/metrics").body.decode()
         assert "# TYPE repro_serve_http_requests_total counter" in text
         assert "repro_serve_http_requests_total " in text
-        assert "# TYPE repro_serve_jobs_queued gauge" in text
+        assert "# TYPE repro_serve_fabric_pending gauge" in text
         assert "repro_serve_http_status_2xx_total" in text
 
 
@@ -655,14 +600,14 @@ class TestArtifactJsonl:
         assert {c: [r[c] for r in rows] for c in columns} == columns
 
 class TestBackpressure:
-    def test_queue_full_maps_to_429(self, served_workdir):
-        app = ServeApp([served_workdir], job_workers=1, job_capacity=1)
+    def test_queue_full_maps_to_429(self, served_workdir, tmp_path):
+        app = ServeApp([served_workdir], job_workers=1, job_capacity=1,
+                       fabric=str(tmp_path / "jobs.sqlite3"))
         gate = threading.Event()
-        app.jobs.submit("hold", gate.wait)      # occupies the worker
-        deadline = time.time() + 5
-        while app.jobs._queue.qsize() and time.time() < deadline:
-            time.sleep(0.005)
-        app.jobs.submit("fills-queue", lambda: None)
+        app.jobs.launcher.runners["hold"] = lambda p, obs: gate.wait(5)
+        held = app.jobs.submit("hold", {})      # occupies the worker
+        wait_status(app.jobs, held.id, {"running"})
+        app.jobs.submit("noop", {})             # fills the queue
         resp = post(app, "/api/insights", {"chart": "volume"})
         assert resp.status == 429
         assert resp.headers["Retry-After"] == "1"
@@ -672,30 +617,37 @@ class TestBackpressure:
         gate.set()
         assert app.close(timeout=10)
 
-    def test_draining_queue_maps_to_503(self, served_workdir):
-        app = ServeApp([served_workdir], job_workers=1, job_capacity=2)
-        app.jobs.drain(timeout=5)
-        resp = post(app, "/api/insights", {"chart": "volume"})
-        assert resp.status == 503
-        app.close()
-
 
 class TestGracefulDrain:
-    def test_close_completes_queued_jobs(self, served_workdir):
-        app = ServeApp([served_workdir], job_workers=1, job_capacity=4)
-        done = []
-        for i in range(3):
-            app.jobs.submit("slow", lambda i=i: (time.sleep(0.05),
-                                                 done.append(i)))
-        assert app.close(timeout=10)
-        assert sorted(done) == [0, 1, 2]
+    def test_close_completes_queued_jobs(self, served_workdir, tmp_path):
+        # close() lets every running job finish; what is still pending
+        # stays in the store for the next start
+        app = ServeApp([served_workdir], job_workers=2, job_capacity=4,
+                       fabric=str(tmp_path / "jobs.sqlite3"))
+        done, gate = [], threading.Event()
 
-    def test_server_close_drains(self, served_workdir):
-        app = ServeApp([served_workdir], job_workers=1, job_capacity=4)
+        def slow(payload, obs):
+            gate.wait(5)
+            done.append(payload["i"])
+
+        app.jobs.launcher.runners["slow"] = slow
+        jobs = [app.jobs.submit("slow", {"i": i}) for i in range(3)]
+        for job in jobs[:2]:
+            wait_status(app.jobs, job.id, {"running"})
+        threading.Timer(0.1, gate.set).start()
+        assert app.close(timeout=10)
+        assert sorted(done) == [0, 1]
+        assert app.jobs.get(jobs[2].id).state == "pending"
+
+    def test_server_close_drains(self, served_workdir, tmp_path):
+        app = ServeApp([served_workdir], job_workers=1, job_capacity=4,
+                       fabric=str(tmp_path / "jobs.sqlite3"))
         server = EventLoopServer(app, port=0).start()
         marker = []
-        app.jobs.submit("slow", lambda: (time.sleep(0.1),
-                                         marker.append("done")))
+        app.jobs.launcher.runners["slow"] = lambda p, obs: (
+            time.sleep(0.1), marker.append("done"))
+        wait_status(app.jobs, app.jobs.submit("slow", {}).id,
+                    {"running", "done"})
         assert server.close(graceful=True, timeout=10)
         assert marker == ["done"]
 
@@ -704,9 +656,10 @@ class TestSocketIntegration:
     """The acceptance test: a served workdir over real sockets."""
 
     @pytest.fixture(scope="class")
-    def server(self, served_workdir):
+    def server(self, served_workdir, tmp_path_factory):
         app = ServeApp([served_workdir], job_workers=1, job_capacity=8,
-                       request_timeout_s=60.0)
+                       request_timeout_s=60.0,
+                       fabric=str(tmp_path_factory.mktemp("jobs") / "db"))
         server = EventLoopServer(app, port=0).start()
         yield server
         server.close(graceful=True)
@@ -817,7 +770,7 @@ class TestSocketIntegration:
         status, _, body = self._request(server, "GET", "/metrics")
         text = body.decode()
         assert "repro_serve_http_requests_total" in text
-        assert "repro_serve_jobs_queued" in text
+        assert "repro_serve_fabric_pending" in text
         assert "repro_llm_calls_total" in text
 
         # error surfaces: 404, 405 (+Allow), 400

@@ -7,6 +7,7 @@ finds an ephemeral port, and SIGTERM drains it to a clean exit.
 """
 
 import contextlib
+import json
 import os
 import re
 import signal
@@ -103,6 +104,55 @@ def test_sharded_banner_and_clean_sigterm(workdir, tmp_path):
         assert proc.wait(timeout=30) == 0
     err = stderr_path.read_text(encoding="utf-8")
     assert err.count("clean shutdown") == 2
+
+
+def request(host, port, method, path, body=None):
+    """One request on a fresh connection: ``(status, decoded JSON)``."""
+    conn = HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request(method, path, body=body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+@pytest.mark.skipif(not sharding_supported(),
+                    reason="needs SO_REUSEPORT + fork")
+def test_sharded_jobs_share_one_id_space(workdir, tmp_path):
+    """Whichever shard accepts a job and whichever answers a poll, the
+    id names one job: the shards share the job database."""
+    with serving(workdir, tmp_path / "serve.stderr", "--procs", "2",
+                 "--job-workers", "1") as proc:
+        lines = [proc.stdout.readline() for _ in range(3)]
+        host, port = address(next(line for line in lines
+                                  if " shards on " in line))
+        seeds = {}
+        for seed in range(6):
+            status, body = request(host, port, "POST", "/api/simulate",
+                                   json.dumps({"seed": seed, "days": 1,
+                                               "rate_scale": 0.01,
+                                               "variants": ["baseline"]}))
+            assert status == 202
+            seeds[body["job"]["id"]] = seed
+        assert len(seeds) == 6
+        for job_id, seed in seeds.items():
+            for _ in range(30):
+                status, job = request(host, port, "GET",
+                                      f"/api/jobs/{job_id}")
+                assert status == 200 and job["id"] == job_id
+                if job["status"] == "done":
+                    assert job["result"]["seed"] == seed
+        deadline = time.monotonic() + 60
+        for job_id, seed in seeds.items():
+            _, job = request(host, port, "GET", f"/api/jobs/{job_id}")
+            while job["status"] != "done" and time.monotonic() < deadline:
+                time.sleep(0.02)
+                _, job = request(host, port, "GET", f"/api/jobs/{job_id}")
+            assert job["status"] == "done" and job["id"] == job_id
+            assert job["result"]["seed"] == seed
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
 
 
 def _proc_state(pid):
