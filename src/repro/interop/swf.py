@@ -57,6 +57,8 @@ _STATUS_FOR_STATE = {
 
 _STATE_FOR_STATUS = {1: "COMPLETED", 0: "FAILED", 5: "CANCELLED"}
 
+_INT64 = np.iinfo(np.int64)
+
 
 def records_to_swf_rows(records: Iterable[JobRecord], *,
                         cpus_per_node: int, origin: int | None = None
@@ -120,8 +122,10 @@ def write_swf(records: Iterable[JobRecord], path: str, *,
 def read_swf(path: str, *, max_rows: int | None = None) -> tuple[int, Frame]:
     """Read an SWF file; returns (unix_start_time, raw SWF frame).
 
-    Malformed data lines raise :class:`DataError`; unknown header fields
-    are ignored, as tools conventionally do.  Traces missing the
+    Malformed data lines raise :class:`DataError` naming ``path:line``
+    (a wrong field count, a field that is not a finite number within
+    int64, or a byte that is not UTF-8); unknown header fields are
+    ignored, as tools conventionally do.  Traces missing the
     ``UnixStartTime`` header (some archive conversions drop it) anchor
     on their first submit time instead, with a one-shot warning.
     ``max_rows`` caps how many data rows are read — archive traces run
@@ -131,7 +135,9 @@ def read_swf(path: str, *, max_rows: int | None = None) -> tuple[int, Frame]:
         raise DataError(f"max_rows must be >= 1, got {max_rows}")
     origin: int | None = None
     rows: list[list[int]] = []
-    with open(path, encoding="utf-8") as fh:
+    # an undecodable byte becomes a lone surrogate, which no number
+    # parses: it fails its own line below instead of the whole read
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -144,6 +150,9 @@ def read_swf(path: str, *, max_rows: int | None = None) -> tuple[int, Frame]:
                     except ValueError as exc:
                         raise DataError(
                             f"{path}:{ln}: bad UnixStartTime") from exc
+                    if not _INT64.min <= origin <= _INT64.max:
+                        raise DataError(
+                            f"{path}:{ln}: bad UnixStartTime")
                 continue
             if max_rows is not None and len(rows) >= max_rows:
                 break
@@ -153,9 +162,13 @@ def read_swf(path: str, *, max_rows: int | None = None) -> tuple[int, Frame]:
                     f"{path}:{ln}: SWF rows have 18 fields, "
                     f"got {len(parts)}")
             try:
-                rows.append([int(float(p)) for p in parts])
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: non-numeric field") from exc
+                row = [int(float(p)) for p in parts]
+            except (ValueError, OverflowError) as exc:
+                raise DataError(f"{path}:{ln}: non-numeric or non-finite "
+                                f"field") from exc
+            if min(row) < _INT64.min or max(row) > _INT64.max:
+                raise DataError(f"{path}:{ln}: field outside int64")
+            rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
     if origin is None:

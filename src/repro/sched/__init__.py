@@ -17,8 +17,13 @@ figures depend on:
 - **node-id allocation**, so records carry real ``NodeList`` strings,
 - **accounting**: per-job usage, per-step records, and an energy model.
 
-Entry point: :class:`Simulator` (or :func:`simulate_month` /
-:func:`simulate_range` in :mod:`repro.sched.run`).
+One driver runs the scheduler core: :class:`ChainSimulator` feeds it
+one generator window at a time, carries live state across windows (and
+across processes, through a :class:`ShardHandoff`), and attributes each
+finished job to the window it was submitted in; accounting records come
+from :func:`finalize_outcomes`.  :class:`Simulator` — and through it
+:func:`simulate_month` / :func:`simulate_range` in
+:mod:`repro.sched.run` — is one such window drained dry.
 """
 
 from repro.sched.injections import (ElasticWindow, NodeFault, PowerCap,

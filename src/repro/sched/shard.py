@@ -13,14 +13,18 @@ continues **bit-identically**: the event order is a pure function of
 the fed windows, so the shared execution stream's draws line up no
 matter where the timeline was cut.
 
+The chain also keeps the window bookkeeping: each window fed is
+recorded as ``[origin, base, n]`` and the handoff carries the list, so
+every outcome row is keyed by the window its job was *submitted* in.
+
 Accounting records deliberately do *not* draw from that shared stream.
 Each job's realized metrics come from a counter-based per-job generator
 (:func:`acct_rng`, seeded by ``SeedSequence(entropy=root,
 spawn_key=(idx,))``), which makes finalization order-independent: a
 job can be finalized eagerly the moment it ends (bounding memory) or
-months later in a parallel emit worker, with identical results.  The
-classic :class:`~repro.sched.simulator.Simulator` path keeps its
-historical shared-stream accounting untouched.
+months later in a parallel emit worker, with identical results.
+:class:`~repro.sched.simulator.Simulator` is one window of this chain
+on its own ``usage`` stream.
 """
 
 from __future__ import annotations
@@ -47,13 +51,15 @@ from repro.slurm.records import JobRecord
 from repro.workload.jobs import JobRequest, StepPlan
 
 __all__ = ["ShardHandoff", "ChainSimulator", "SPOOL_COLUMNS",
-           "acct_rng", "finalize_outcomes", "chain_months"]
+           "acct_rng", "finalize_outcomes"]
 
 #: Handoff schema version — bumped on any layout change so a stale
 #: artifact fails loudly instead of resuming garbage.
 #: v2: scenario-injection state (downed nodes, active power caps),
 #: per-job ``elastic_shrunk``, and scenario counters.
-HANDOFF_VERSION = 2
+#: v3: the chain's windows (``[origin, base, n]``), so a resumed chain
+#: attributes carried-over jobs to their origin window.
+HANDOFF_VERSION = 3
 
 #: Columns of the per-origin-month outcome spool the orchestrator
 #: appends between shards (everything deferred finalization needs that
@@ -100,6 +106,7 @@ class ShardHandoff:
         seq            event sequence counter
         next_idx       next global request index
         exec_rng       numpy bit-generator state of the execution stream
+        windows        [[origin, base, n], ...]  (every window fed so far)
         usage          {"usage": {acct: float}, "stamp": {acct: int}}
         jobs           [{idx, req, eligible, start, ...}]  (live jobs)
         pending        [idx] in queue order
@@ -158,37 +165,46 @@ def _deserialize_req(data: dict) -> JobRequest:
 class ChainSimulator:
     """Window-at-a-time simulation with exportable boundary state.
 
-    One chain (optionally split across processes via handoffs) replaces
-    one :meth:`Simulator.run` over the concatenated windows.  Unlike
-    the classic path, finished jobs leave the core immediately — their
-    lightweight outcome rows (see :data:`SPOOL_COLUMNS`) are returned
-    from :meth:`run_window` and finalized later with
-    :func:`finalize_outcomes`.
+    The one scheduler driver: a chain (optionally split across processes
+    via handoffs) feeds windows in timeline order, and
+    :meth:`~repro.sched.simulator.Simulator.run` is one window drained
+    dry.  Finished jobs leave the core at each window's end as
+    lightweight outcome rows (see :data:`SPOOL_COLUMNS`), returned from
+    :meth:`run_window` by origin and finalized later with
+    :func:`finalize_outcomes`.  ``exec_rng`` replaces the ``chain:exec``
+    stream; only ``Simulator`` passes it (its ``usage`` stream, which
+    ROADMAP item 4 deletes with this parameter).
     """
 
     def __init__(self, system: SystemProfile, config: SimConfig,
-                 handoff: ShardHandoff | None = None) -> None:
+                 handoff: ShardHandoff | None = None, *,
+                 exec_rng: np.random.Generator | None = None) -> None:
         self.system = system
         self.config = config
         self.fingerprint = _fingerprint(system, config)
-        exec_rng = RngStreams(config.seed).child(
-            f"sim:{system.name}").fresh("chain:exec")
+        if exec_rng is None:
+            exec_rng = RngStreams(config.seed).child(
+                f"sim:{system.name}").fresh("chain:exec")
         self.core = _SimCore(system, config, exec_rng)
-        self.core.keep_finished = False
         self.n_finished = 0
+        #: ``[origin, base, n]`` of every window fed so far, in timeline
+        #: order (contiguous global index ranges)
+        self.windows: list[list] = []
         if handoff is not None:
             self._import(handoff)
 
     # -- running ------------------------------------------------------------------
 
-    def run_window(self, requests: list[JobRequest],
-                   until: int | None) -> list[dict]:
-        """Feed one generator window and drain up to ``until`` (fully
-        when None — the final window must drain the queue dry).
-        Returns outcome rows for every job that finished, including
-        carried-over jobs from earlier windows/shards."""
+    def run_window(self, requests: list[JobRequest], until: int | None, *,
+                   origin) -> dict:
+        """Feed one generator window, labelled ``origin``, and drain up
+        to ``until`` (fully when None — the final window must drain the
+        queue dry).  Returns outcome rows for every job that finished,
+        carried-over jobs from earlier windows/shards included, keyed by
+        the origin of the window each job was submitted in."""
         core = self.core
-        core.feed(requests)
+        base = core.feed(requests)
+        self.windows.append([origin, base, len(requests)])
         core.drain(until=until)
         finished = core.take_finished()
         core.end_window()
@@ -196,12 +212,24 @@ class ChainSimulator:
             core.assert_drained()
         self.n_finished += len(finished)
         prefix = self.system.node_prefix
-        return [{
-            "idx": job.idx, "state": job.state, "eligible": job.eligible,
-            "start": job.start, "end": job.end, "reason": job.reason,
-            "backfilled": int(job.backfilled), "restarts": job.restarts,
-            "node_list": compact_nodelist(prefix, job.node_ids),
-        } for job in finished]
+        by_origin: dict = {}
+        for job in finished:
+            by_origin.setdefault(self._origin(job.idx), []).append({
+                "idx": job.idx, "state": job.state,
+                "eligible": job.eligible, "start": job.start,
+                "end": job.end, "reason": job.reason,
+                "backfilled": int(job.backfilled), "restarts": job.restarts,
+                "node_list": compact_nodelist(prefix, job.node_ids)})
+        return by_origin
+
+    def _origin(self, idx: int):
+        """The origin of the window global index ``idx`` was fed in."""
+        for origin, base, n in reversed(self.windows):
+            if idx >= base:
+                if idx < base + n:
+                    return origin
+                break
+        raise DataError(f"job idx {idx} maps to no window")
 
     @property
     def counters(self) -> dict:
@@ -234,6 +262,7 @@ class ChainSimulator:
             "seq": core.seq,
             "next_idx": core.next_idx,
             "exec_rng": core.exec_rng.bit_generator.state,
+            "windows": [list(w) for w in self.windows],
             "usage": (None if core.usage is None else
                       {"usage": dict(core.usage._usage),
                        "stamp": dict(core.usage._stamp)}),
@@ -263,6 +292,7 @@ class ChainSimulator:
         core.seq = state["seq"]
         core.next_idx = state["next_idx"]
         core.exec_rng.bit_generator.state = state["exec_rng"]
+        self.windows = [list(w) for w in state["windows"]]
         if state["usage"] is not None:
             if core.usage is None:
                 raise DataError("handoff has fairshare state but the "
@@ -317,13 +347,19 @@ class ChainSimulator:
 
 def finalize_outcomes(system: SystemProfile, config: SimConfig,
                       requests: list[JobRequest], base_idx: int,
-                      outcomes: list[dict]) -> list[JobRecord]:
+                      outcomes: list[dict], *,
+                      rng: np.random.Generator | None = None
+                      ) -> list[JobRecord]:
     """Build full accounting records for one origin window's outcomes.
 
     ``requests`` is the window's regenerated submission stream and
     ``base_idx`` its global base; every outcome's ``idx`` must fall in
     the window.  Order-independent by construction (per-job accounting
     streams), so shards and emit workers can call this in any order.
+    ``rng`` replaces the per-job streams with one stream every job draws
+    from in index order; only :class:`~repro.sched.simulator.Simulator`
+    passes it (its ``usage`` stream, which ROADMAP item 4 deletes with
+    this parameter).
     """
     prio = config.priority
     first = config.first_jobid
@@ -349,7 +385,8 @@ def finalize_outcomes(system: SystemProfile, config: SimConfig,
             now=start if start != UNKNOWN_TIME else end,
             eligible=int(out["eligible"]))
         records.append(finalize_job(
-            req, jobid, system, acct_rng(config.seed, system.name, idx),
+            req, jobid, system,
+            acct_rng(config.seed, system.name, idx) if rng is None else rng,
             start=start, end=end, state=str(out["state"]),
             backfilled=bool(out["backfilled"]),
             eligible=int(out["eligible"]), reason=str(out["reason"]),
@@ -357,37 +394,3 @@ def finalize_outcomes(system: SystemProfile, config: SimConfig,
             dependency_text=dep_text, restarts=int(out["restarts"]),
             node_list=str(out["node_list"])))
     return records
-
-
-def chain_months(system: SystemProfile, config: SimConfig,
-                 windows: list[tuple[int, int]],
-                 requests_for) -> tuple[dict[int, list[dict]], dict]:
-    """Run a whole chain in-process: feed each ``(start, end)`` window
-    from ``requests_for(start, end)``, draining fully at the last.
-
-    Returns ``(outcomes by window index of ORIGIN, counters)``.  The
-    workflow's text front-end simulates with it
-    (:func:`repro.workflows.shard.simulate_chain`), and the sharded
-    orchestrator must match it bit-for-bit.  Origin attribution uses
-    each window's global index range (a job belongs to the window it
-    was *submitted* in, matching the per-month table layout).
-    """
-    chain = ChainSimulator(system, config)
-    bases = []
-    by_origin: dict[int, list[dict]] = {}
-    for w, (start, end) in enumerate(windows):
-        reqs = requests_for(start, end)
-        bases.append((chain.core.next_idx, len(reqs)))
-        until = None if w == len(windows) - 1 else end
-        outcomes = chain.run_window(reqs, until)
-        for out in outcomes:
-            by_origin.setdefault(_origin(bases, out["idx"]),
-                                 []).append(out)
-    return by_origin, chain.counters
-
-
-def _origin(bases: list[tuple[int, int]], idx: int) -> int:
-    for w, (base, n) in enumerate(bases):
-        if base <= idx < base + n:
-            return w
-    raise DataError(f"job idx {idx} outside every window")

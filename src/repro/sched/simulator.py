@@ -22,13 +22,12 @@ reservation.
 
 The mutable machinery lives in :class:`_SimCore`, which separates the
 *event loop* from the *episode*: requests are ``feed()`` in batches and
-the clock advances with ``drain(until=...)``.  :class:`Simulator` runs
-one feed + full drain (the classic single-process path, event-for-event
-identical to the historical closure implementation);
-:mod:`repro.sched.shard` feeds per-month windows, stops at shard cuts,
-and serializes the live core state into a
+the clock advances with ``drain(until=...)``.  One driver runs it:
+:class:`~repro.sched.shard.ChainSimulator` feeds per-month windows,
+stops at shard cuts, and serializes the live core state into a
 :class:`~repro.sched.shard.ShardHandoff` so the next process resumes
-bit-identically.
+bit-identically.  :class:`Simulator` is that chain with one window
+drained dry, on its own ``usage`` stream.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from repro._util.rng import RngStreams
 from repro._util.sortedlist import SortedKeyList
 from repro._util.timefmt import UNKNOWN_TIME
 from repro.cluster import SystemProfile
-from repro.sched.accounting import finalize_job
 from repro.sched.injections import ScenarioInjections
 from repro.sched.nodes import NodePool
 from repro.sched.priority import PriorityModel, UsageTracker, queue_key
@@ -143,7 +141,7 @@ class _SimJob:
 
     __slots__ = ("req", "idx", "jobid", "eligible", "start", "end", "state",
                  "backfilled", "node_ids", "reason", "static_prio",
-                 "was_head", "done", "finalized", "restarts",
+                 "was_head", "done", "restarts",
                  "node_failed_once", "completed_work", "dep_idx",
                  "elastic_shrunk")
 
@@ -162,7 +160,6 @@ class _SimJob:
         self.static_prio = static_prio
         self.was_head = False
         self.done = False          # reached a terminal state
-        self.finalized = False     # accounting record produced
         self.restarts = 0          # requeues so far (node fail, preempt)
         self.node_failed_once = False
         self.completed_work = 0    # checkpointed seconds (resubmits)
@@ -250,10 +247,9 @@ class _SimCore:
             key: [] for key in pools}
         self.held: dict[int, list[_SimJob]] = {}   # parent idx -> children
         self.finished: list[_SimJob] = []
-        #: chain mode drops finished jobs from ``jobs`` to bound memory;
-        #: terminal states of dropped dependency parents park here until
-        #: the window's submits have all been processed
-        self.keep_finished = True
+        #: finished jobs leave ``jobs`` to bound memory; terminal states
+        #: of dropped dependency parents park here until the window's
+        #: submits have all been processed
         self.done_state: dict[int, str] = {}
         self.dep_parents: set[int] = set()
         self.n_backfilled = 0
@@ -666,9 +662,9 @@ class _SimCore:
                     continue
                 job = jobs.get(idx)
                 if job is None:
-                    # chain mode dropped this job after it finished; any
-                    # event still pointing at it (a stale pending-cancel)
-                    # is a no-op, exactly as the guards below would be
+                    # take_finished dropped this job; any event still
+                    # pointing at it (a stale pending-cancel) is a no-op,
+                    # exactly as the guards below would be
                     continue
                 if kind == _SUBMIT:
                     dep = job.dep_idx
@@ -741,18 +737,16 @@ class _SimCore:
     def take_finished(self) -> list[_SimJob]:
         """Hand over (and clear) the jobs finished since the last call.
 
-        With ``keep_finished`` off, finished jobs leave the ``jobs``
-        dict here — terminal states of dependency parents are parked in
-        ``done_state`` until :meth:`end_window` declares the window's
-        submits processed.
+        Finished jobs leave the ``jobs`` dict here — terminal states of
+        dependency parents are parked in ``done_state`` until
+        :meth:`end_window` declares the window's submits processed.
         """
         out = self.finished
         self.finished = []
-        if not self.keep_finished:
-            for job in out:
-                if job.idx in self.dep_parents:
-                    self.done_state[job.idx] = job.state
-                del self.jobs[job.idx]
+        for job in out:
+            if job.idx in self.dep_parents:
+                self.done_state[job.idx] = job.state
+            del self.jobs[job.idx]
         return out
 
     def end_window(self) -> None:
@@ -770,7 +764,15 @@ class _SimCore:
 
 
 class Simulator:
-    """Run a submission stream through the scheduler on one system."""
+    """Run a submission stream through the scheduler on one system.
+
+    :meth:`run` is one :class:`~repro.sched.shard.ChainSimulator` window
+    drained dry, finalized by :func:`~repro.sched.shard.finalize_outcomes`
+    — the driver the workflow's timeline runs.  Execution and accounting
+    both draw from this simulator's one ``usage`` stream, which carries
+    on across :meth:`run` calls; ROADMAP item 4 moves it onto the
+    chain's own streams.
+    """
 
     def __init__(self, system: SystemProfile,
                  config: SimConfig | None = None) -> None:
@@ -779,65 +781,19 @@ class Simulator:
         self._rng = RngStreams(self.config.seed).child(
             f"sim:{system.name}").fresh("usage")
 
-    # -- public ------------------------------------------------------------------
-
     def run(self, requests: list[JobRequest]) -> SimResult:
         """Simulate the full stream; every job reaches a terminal state."""
-        for i, req in enumerate(requests):
-            if req.dependency_idx is not None and req.dependency_idx >= i:
-                raise WorkflowError(
-                    f"request {i} depends on a later request "
-                    f"{req.dependency_idx}")
+        from repro.sched.shard import ChainSimulator, finalize_outcomes
 
-        core = _SimCore(self.system, self.config, self._rng)
-        core.feed(requests)
-        core.drain()
-        core.assert_drained()
-
-        # -- finalize accounting records ---------------------------------------
-        jobs = [core.jobs[i] for i in range(len(requests))]
-        records = self._finalize(jobs, core.finished)
-        return SimResult(jobs=records, n_backfilled=core.n_backfilled,
-                         n_sched_passes=core.n_passes,
-                         max_queue_depth=core.max_depth,
-                         n_preempted=core.n_preempted,
-                         n_injections=core.n_injections,
-                         n_fault_victims=core.n_fault_victims,
-                         n_shrunk_nodes=core.n_shrunk_nodes)
-
-    # -- internals ------------------------------------------------------------
-
-    def _execution(self, req: JobRequest, restarted: bool = False,
-                   completed_work: int = 0) -> tuple[str, int]:
-        """See the module-level :func:`_execution` (kept as a method so
-        policy-variant subclasses and tests can override/inspect it)."""
-        return _execution(self._rng, req, restarted, completed_work)
-
-    def _finalize(self, jobs: list[_SimJob],
-                  finished: list[_SimJob]) -> list[JobRecord]:
-        if len(finished) != len(jobs):
-            raise WorkflowError(
-                f"{len(jobs) - len(finished)} jobs never finished")
-        prio = self.config.priority
-        records: list[JobRecord] = []
-        for job in sorted(finished, key=lambda j: j.idx):
-            req = job.req
-            array_parent = (job.jobid if req.array_size else None)
-            if req.array_member_of is not None:
-                array_parent = jobs[req.array_member_of].jobid
-            dep_text = ""
-            if req.dependency_idx is not None:
-                dep_text = f"afterok:{jobs[req.dependency_idx].jobid}"
-            final_prio = prio.priority(
-                self.system, req,
-                now=job.start if job.start != UNKNOWN_TIME else job.end,
-                eligible=job.eligible)
-            records.append(finalize_job(
-                req, job.jobid, self.system, self._rng,
-                start=job.start, end=job.end, state=job.state,
-                backfilled=job.backfilled, eligible=job.eligible,
-                reason=job.reason, node_ids=job.node_ids,
-                priority=final_prio, array_job_id=array_parent,
-                dependency_text=dep_text, restarts=job.restarts))
-            job.finalized = True
-        return records
+        chain = ChainSimulator(self.system, self.config, exec_rng=self._rng)
+        outcomes = chain.run_window(requests, None, origin=0)
+        records = finalize_outcomes(self.system, self.config, requests, 0,
+                                    outcomes.get(0, []), rng=self._rng)
+        c = chain.counters
+        return SimResult(jobs=records, n_backfilled=c["n_backfilled"],
+                         n_sched_passes=c["n_passes"],
+                         max_queue_depth=c["max_depth"],
+                         n_preempted=c["n_preempted"],
+                         n_injections=c["n_injections"],
+                         n_fault_victims=c["n_victims"],
+                         n_shrunk_nodes=c["n_shrunk"])

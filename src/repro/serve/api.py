@@ -617,11 +617,21 @@ class ServeApp:
         produced chunk-by-chunk off :func:`repro.frame.io.iter_table`.
         A CSV streams from its current ``.npf`` twin (as ``?format=npf``
         resolves it), so a paper-scale table never lives in memory
-        whole and the rows hold the values ``?format=json`` serves."""
+        whole and the rows hold the values ``?format=json`` serves.
+        Negotiation checks only the twin's header, so the twin's payload
+        is decoded once, a chunk at a time, before the first byte: a
+        twin that fails to decode streams the CSV instead, as
+        ``?format=json`` reads it, rather than cutting the body."""
         sha = self.hashes.sha256(path)
 
         def generate():
             source = resolve_table_path(path, hash_cache=self.hashes)
+            if source != path:
+                try:
+                    for _ in iter_table(source, chunk_rows=4096):
+                        pass
+                except (DataError, OSError):
+                    source = path
             for frame in iter_table(source, chunk_rows=4096):
                 columns = frame.to_dict()
                 names = list(columns)

@@ -10,11 +10,12 @@ partitions the same timeline into shards of whole months:
 
 1. **Simulate, chained.**  Shard *k* resumes from shard *k-1*'s
    :class:`~repro.sched.shard.ShardHandoff` (carried-over running jobs,
-   queue, fairshare decay, RNG cursor, event heap), feeds its months'
-   generator windows, and drains up to its cut — bit-identical to an
-   unsharded chain by construction (``tests/test_sched_shard.py``
-   proves it).  Finished jobs leave the core immediately as lightweight
-   outcome rows, appended to a per-origin-month ``.npf`` spool.
+   queue, fairshare decay, RNG cursor, event heap, and the chain's
+   windows), feeds its months' generator windows, and drains up to its
+   cut — bit-identical to an unsharded chain by construction
+   (``tests/test_sched_shard.py`` proves it).  Finished jobs leave the
+   core immediately as lightweight outcome rows, keyed by origin month
+   and appended to that month's ``.npf`` spool.
 2. **Emit, fanned out.**  Per month — in any order, on a process pool
    or as durable fabric jobs — the submission stream is regenerated
    from the seed, outcomes are finalized into accounting records with
@@ -59,7 +60,7 @@ from repro.pipeline.obtain import window_rng
 from repro.sched.injections import ScenarioInjections
 from repro.sched.priority import PriorityModel
 from repro.sched.shard import (SPOOL_COLUMNS, ChainSimulator, ShardHandoff,
-                               chain_months, finalize_outcomes)
+                               finalize_outcomes)
 from repro.sched.simulator import SimConfig
 from repro.slurm.emit import DEFAULT_MALFORMED_RATE, RowFaults
 from repro.slurm.records import JobRecord
@@ -155,21 +156,21 @@ def simulate_chain(system: str, months: list[str], *, seed: int,
     gen = _generator({"system": system, "profile": profile_spec,
                       "seed": seed, "rate_scale": rate_scale})
     machine = get_system(system)
+    chain = ChainSimulator(machine, config)
     generated: list[list] = []
-
-    def requests_for(start: int, end: int) -> list:
+    by_origin: dict[int, list[dict]] = {}
+    for w, month in enumerate(months):
+        start, end = month_bounds(month)
         generated.append(gen.generate(start, end))
-        return generated[-1]
-
-    by_origin, counters = chain_months(
-        machine, config, [month_bounds(m) for m in months], requests_for)
+        until = None if w == len(months) - 1 else end
+        for origin, rows in chain.run_window(generated[-1], until,
+                                             origin=w).items():
+            by_origin.setdefault(origin, []).extend(rows)
     records: list[JobRecord] = []
-    base = 0
-    for w, reqs in enumerate(generated):
+    for (w, base, _), reqs in zip(chain.windows, generated):
         records += finalize_outcomes(machine, config, reqs, base,
                                      by_origin.get(w, []))
-        base += len(reqs)
-    return records, counters
+    return records, chain.counters
 
 
 def record_sched_metrics(obs, counters: dict) -> None:
@@ -194,10 +195,11 @@ def run_sim_shard(payload: dict, obs=None) -> dict:
     """Simulate one shard's months, spooling outcomes by origin month.
 
     Payload: ``system, months, seed, rate_scale, config`` (spec),
-    ``profile`` (spec or None), ``prior_bases`` ([month, base, n] of
-    every earlier window), ``handoff_in``/``handoff_out`` (paths or
+    ``profile`` (spec or None), ``handoff_in``/``handoff_out`` (paths or
     None), ``spool_dir``, ``final`` (bool: drain the queue dry after
     the last month), ``manifest_dir`` (optional per-shard obs manifest).
+    The result's ``bases`` is the chain's ``[month, base, n]`` of every
+    window so far, earlier shards' included (the handoff carries them).
     """
     system = get_system(payload["system"])
     config = simconfig_from_spec(payload["config"])
@@ -211,8 +213,6 @@ def run_sim_shard(payload: dict, obs=None) -> dict:
         from repro.obs import RunContext
         ctx = RunContext(run_id=f"shard-{payload['months'][0]}")
 
-    all_bases = [tuple(b) for b in payload.get("prior_bases", [])]
-    my_bases: list[list] = []
     spool_rows: dict[str, int] = {}
     appenders: dict[str, NpfAppender] = {}
     spool_dir = payload["spool_dir"]
@@ -220,31 +220,18 @@ def run_sim_shard(payload: dict, obs=None) -> dict:
     live_hwm = 0
     months = payload["months"]
 
-    def origin_of(idx: int) -> str:
-        for month, base, n in reversed(all_bases):
-            if idx >= base:
-                if idx < base + n:
-                    return month
-                break
-        raise DataError(f"outcome idx {idx} maps to no window")
-
     try:
         for month in months:
             start, end = month_bounds(month)
             reqs = gen.generate(start, end)
             carried_in = len(chain.core.jobs)
             live_hwm = max(live_hwm, carried_in + len(reqs))
-            base = chain.core.next_idx
-            my_bases.append([month, base, len(reqs)])
-            all_bases.append((month, base, len(reqs)))
             final = payload.get("final") and month == months[-1]
             with nullcontext() if ctx is None else ctx.span(
                     f"shard-window:{month}", jobs=len(reqs),
                     carried=carried_in):
-                outcomes = chain.run_window(reqs, None if final else end)
-            by_month: dict[str, list[dict]] = {}
-            for out in outcomes:
-                by_month.setdefault(origin_of(out["idx"]), []).append(out)
+                by_month = chain.run_window(reqs, None if final else end,
+                                            origin=month)
             for m, rows in sorted(by_month.items()):
                 rows.sort(key=lambda r: r["idx"])
                 app = appenders.get(m)
@@ -260,7 +247,7 @@ def run_sim_shard(payload: dict, obs=None) -> dict:
     if payload.get("handoff_out"):
         chain.export(cut=month_bounds(months[-1])[1]).save(
             payload["handoff_out"])
-    result = {"bases": my_bases, "spool_rows": spool_rows,
+    result = {"bases": chain.windows, "spool_rows": spool_rows,
               "carried": len(chain.core.jobs), "live_hwm": live_hwm,
               "windows": len(months), "counters": chain.counters}
     if ctx is not None:
@@ -483,7 +470,6 @@ def run_sharded(system: str, months: list[str], out_dir: str, *,
         payload = {"system": system, "months": group, "seed": seed,
                    "rate_scale": rate_scale, "config": cfg_spec,
                    "profile": profile_spec,
-                   "prior_bases": report.bases,
                    "handoff_in": handoff_prev,
                    "handoff_out": handoff_out,
                    "spool_dir": spool_dir, "final": last,
@@ -492,7 +478,7 @@ def run_sharded(system: str, months: list[str], out_dir: str, *,
                 f"shard-sim:{k}", months=len(group)):
             res = dispatch.run_stage("shard_sim", [payload],
                                      sequential=True)[0]
-        report.bases.extend(res["bases"])
+        report.bases = res["bases"]
         report.counters = res["counters"]
         report.carried_total += res["carried"]
         report.live_jobs_hwm = max(report.live_jobs_hwm, res["live_hwm"])

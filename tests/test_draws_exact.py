@@ -25,7 +25,6 @@ from repro._util.timefmt import UNKNOWN_TIME, month_bounds
 from repro.cluster import get_system
 from repro.sched import run as sched_run
 from repro.sched import shard as sched_shard
-from repro.sched import simulator
 from repro.sched.accounting import _EXIT_FOR_STATE, finalize_job
 from repro.sched.run import simulate_month
 from repro.sched.simulator import SimConfig
@@ -326,7 +325,7 @@ def test_simulate_month_matches_oracle_draws(monkeypatch):
     shipped = records()
     monkeypatch.setattr(sched_run, "WorkloadGenerator",
                         OracleWorkloadGenerator)
-    monkeypatch.setattr(simulator, "finalize_job", oracle_finalize_job)
+    monkeypatch.setattr(sched_shard, "finalize_job", oracle_finalize_job)
     oracle = records()
     assert len(shipped) == len(oracle) > 0
     for a, b in zip(shipped, oracle):

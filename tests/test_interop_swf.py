@@ -1,11 +1,16 @@
 """Tests for SWF import/export."""
 
+import os
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro._util.errors import DataError
 from repro.analytics import nodes_vs_elapsed, states_per_user, wait_times, walltime_accuracy
 from repro.interop import read_swf, swf_to_frame, write_swf
+from repro.interop.swf import SWF_COLUMNS
 from repro.pipeline import JOB_CSV_COLUMNS
 from repro.sched import simulate_month
 
@@ -177,3 +182,88 @@ class TestSwfToFrame:
         assert frame["StartTime"][0] == -1
         assert frame["State"][0] == "CANCELLED"
         assert frame["WaitS"][0] == 500
+
+
+# -- malformed input: DataError and nothing else --------------------------------
+
+_ROW = "1 0 10 60 4 -1 -1 4 600 -1 1 1 1 -1 1 1 -1 -1"
+#: a valid three-row trace the fuzz mutates
+_TRACE = ("; Computer: fuzz\n; UnixStartTime: 1704067200\n" +
+          "".join(_ROW.replace("1 0 10", f"{i} {60 * i} 10", 1) + "\n"
+                  for i in range(1, 4))).encode()
+_TOKENS = st.sampled_from([
+    b"0", b"-1", b"60", b"1.5", b"1e3", b"inf", b"-inf", b"nan", b"1e400",
+    str(2**70).encode(), str(-2**70).encode(), b"9223372036854775807",
+    b"x", b";", b"UnixStartTime:", b"\xff", b"\xc3", b"\x00", b"\t"])
+_LINES = st.lists(_TOKENS, max_size=20).map(b" ".join)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("swf-fuzz"))
+
+
+def _read_only_data_errors(fuzz_dir, blob: bytes) -> None:
+    """Both readers on ``blob``: a frame of int64 columns, or DataError."""
+    path = os.path.join(fuzz_dir, "fuzz.swf")
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")      # a dropped UnixStartTime
+        try:
+            origin, frame = read_swf(path)
+        except DataError:
+            return
+        swf_to_frame(path, cpus_per_node=4)
+    assert isinstance(origin, int) and len(frame) > 0
+    assert all(frame[c].dtype == np.int64 for c in SWF_COLUMNS)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("field", [
+        "inf", "-inf", "nan", "1e400", str(2**70), str(-2**70), "6\xff0"])
+    def test_bad_field_names_its_line(self, tmp_path, field):
+        path = tmp_path / "bad.swf"
+        bad = _ROW.replace("600", field)
+        path.write_bytes(("; UnixStartTime: 0\n" + _ROW + "\n" + bad +
+                          "\n").encode("latin-1"))
+        with pytest.raises(DataError, match=f"{path}:3: "):
+            read_swf(str(path))
+
+    def test_out_of_range_start_time_rejected(self, tmp_path):
+        path = tmp_path / "bad.swf"
+        path.write_text(f"; UnixStartTime: {2**70}\n{_ROW}\n")
+        with pytest.raises(DataError, match=f"{path}:1: bad UnixStartTime"):
+            read_swf(str(path))
+
+    def test_undecodable_comment_is_ignored(self, tmp_path):
+        """Unknown header lines are skipped, whatever their bytes."""
+        path = tmp_path / "latin1.swf"
+        path.write_bytes(b"; Computer: Universit\xe4t\n"
+                         b"; UnixStartTime: 5\n" + _ROW.encode() + b"\n")
+        origin, frame = read_swf(str(path))
+        assert (origin, len(frame)) == (5, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(st.tuples(st.integers(0, 6), _LINES),
+                          max_size=4))
+    def test_random_lines(self, fuzz_dir, lines):
+        out = _TRACE.split(b"\n")
+        for at, line in lines:
+            out.insert(min(at, len(out)), line)
+        _read_only_data_errors(fuzz_dir, b"\n".join(out))
+
+    @settings(max_examples=150, deadline=None)
+    @given(flips=st.lists(st.tuples(st.integers(0, len(_TRACE) - 1),
+                                    st.integers(1, 255)),
+                          min_size=1, max_size=8))
+    def test_byte_flips(self, fuzz_dir, flips):
+        blob = bytearray(_TRACE)
+        for at, mask in flips:
+            blob[at] ^= mask
+        _read_only_data_errors(fuzz_dir, bytes(blob))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cut=st.integers(0, len(_TRACE)))
+    def test_truncations(self, fuzz_dir, cut):
+        _read_only_data_errors(fuzz_dir, _TRACE[:cut])

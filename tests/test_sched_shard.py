@@ -40,7 +40,6 @@ from repro.sched.priority import PriorityModel
 from repro.sched.shard import (
     ChainSimulator,
     ShardHandoff,
-    chain_months,
     finalize_outcomes,
 )
 from repro.sched.simulator import SimConfig
@@ -111,36 +110,32 @@ def chained(tmp_path_factory):
     gen = WorkloadGenerator(workload_for("testsys"), seed=7)
     windows = [month_bounds(m) for m in MONTHS]
 
-    ref_by_origin, ref_counters = chain_months(
-        system, CONFIG, windows, lambda s, e: gen.generate(s, e))
+    def run(chain, w, until, by_origin):
+        outcomes = chain.run_window(gen.generate(*windows[w]), until,
+                                    origin=w)
+        for origin, rows in outcomes.items():
+            by_origin.setdefault(origin, []).extend(rows)
+
+    ref = ChainSimulator(system, CONFIG)
+    ref_by_origin: dict[int, list[dict]] = {}
+    run(ref, 0, windows[0][1], ref_by_origin)
+    run(ref, 1, None, ref_by_origin)
 
     tmp = tmp_path_factory.mktemp("handoff")
     path = os.path.join(tmp, "handoff.json.gz")
-    bases: list[tuple[int, int]] = []
     sharded: dict[int, list[dict]] = {}
 
-    def origin(idx: int) -> int:
-        for w, (base, n) in enumerate(bases):
-            if base <= idx < base + n:
-                return w
-        raise AssertionError(idx)
-
     chain = ChainSimulator(system, CONFIG)
-    reqs = gen.generate(*windows[0])
-    bases.append((chain.core.next_idx, len(reqs)))
-    for out in chain.run_window(reqs, windows[0][1]):
-        sharded.setdefault(origin(out["idx"]), []).append(out)
+    run(chain, 0, windows[0][1], sharded)
     chain.export(cut=windows[0][1]).save(path)
 
     reloaded = ShardHandoff.load(path)
     chain2 = ChainSimulator(system, CONFIG, handoff=reloaded)
-    reqs = gen.generate(*windows[1])
-    bases.append((chain2.core.next_idx, len(reqs)))
-    for out in chain2.run_window(reqs, None):
-        sharded.setdefault(origin(out["idx"]), []).append(out)
+    run(chain2, 1, None, sharded)
 
-    return {"system": system, "windows": windows, "bases": bases,
-            "ref": ref_by_origin, "ref_counters": ref_counters,
+    return {"system": system, "windows": windows,
+            "bases": [(base, n) for _, base, n in chain2.windows],
+            "ref": ref_by_origin, "ref_counters": ref.counters,
             "sharded": sharded, "counters": chain2.counters,
             "handoff": chain.export(cut=windows[0][1]),
             "reloaded": reloaded}
@@ -183,6 +178,14 @@ class TestHandoffBitIdentity:
                                        base, chained["sharded"][0])
         assert recs_ref == recs_shard
         assert len(recs_ref) == len(chained["ref"][0])
+
+    def test_windows_travel_in_the_handoff(self, chained):
+        """The chain keeps ``[origin, base, n]`` per window and the
+        handoff carries them, so the resumed chain can attribute the
+        earlier shard's carried-over jobs to their origin window."""
+        (base0, n0), (base1, n1) = chained["bases"]
+        assert chained["reloaded"].state["windows"] == [[0, base0, n0]]
+        assert base1 == base0 + n0 and n1 > 0
 
     def test_fingerprint_mismatch_rejected(self, chained):
         """Importing state exported under a different scheduler config

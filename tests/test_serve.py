@@ -8,6 +8,7 @@ sockets.
 
 import json
 import os
+import struct
 import threading
 import time
 from http.client import HTTPConnection
@@ -598,6 +599,47 @@ class TestArtifactJsonl:
         assert len(rows) == 4200
         assert rows[0]["Comment"] == ""
         assert {c: [r[c] for r in rows] for c in columns} == columns
+
+    def test_corrupt_twin_streams_the_csv(self, tmp_path):
+        """A twin whose header checks out but whose payload does not
+        decode (the top bit of the 200th ``User`` value offset flipped)
+        is still the negotiated source.  jsonl then streams the CSV's
+        rows in one complete body, the rows ``?format=json`` serves,
+        instead of raising ``DataError`` part-way through the body."""
+        from repro.frame import sniff_npf
+        from repro.pipeline.curate import CuratedCsvWriter
+        from repro.store import ArtifactStore, resolve_table_path
+
+        art = ArtifactStore(str(tmp_path)).declare(
+            "2024-03-jobs", "csv", schema=["JobID", "User"])
+        with CuratedCsvWriter(art) as writer:
+            writer.write_rows({"JobID": 1000 + i, "User": f"u{i % 5}"}
+                              for i in range(1017))
+        twin = art.path[:-4] + ".npf"
+        blob = bytearray(open(twin, "rb").read())
+        hlen = struct.unpack("<I", blob[4:8])[0]
+        base = (8 + hlen + 63) // 64 * 64
+        user = next(c for c in sniff_npf(twin)["columns"]
+                    if c["name"] == "User")
+        blob[base + user["offsets"][0] + 8 * 200 + 7] ^= 0x80
+        with open(twin, "wb") as fh:
+            fh.write(blob)
+        assert resolve_table_path(art.path) == twin
+        app = ServeApp([str(tmp_path)], job_workers=1, job_capacity=1)
+        try:
+            resp = get(app, "/api/artifacts/2024-03-jobs",
+                       query={"format": "jsonl"})
+            assert resp.status == 200
+            rows = [json.loads(line)
+                    for line in resp.body.decode().splitlines()]
+            columns = body_json(get(app, "/api/artifacts/2024-03-jobs",
+                                    query={"format": "json"}))["columns"]
+        finally:
+            app.close()
+        assert len(rows) == 1017
+        assert {c: [r[c] for r in rows] for c in columns} == columns
+        assert columns["User"][200] == "u0"
+
 
 class TestBackpressure:
     def test_queue_full_maps_to_429(self, served_workdir, tmp_path):
